@@ -24,6 +24,7 @@ from .statespace import (
     DISTINGUISHABLE,
     LocalOperator,
     PureState,
+    _apply_on_axis,
     _frozen,
     apply_local,
     distinguishable,
@@ -235,15 +236,12 @@ _PAULI = np.array(
 _ACIN_TARGETS = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
 
 
-def _apply_three(unitaries: list[np.ndarray], tensor: np.ndarray) -> np.ndarray:
+def _rotated(unitaries: list[np.ndarray], tensor: np.ndarray) -> tuple[np.ndarray, float]:
+    """The tensor under one unitary per qubit, and its targeted mass."""
     out = tensor
-    for axis, mat in enumerate(unitaries):
-        out = np.moveaxis(np.tensordot(mat, out, axes=([1], [axis])), 0, axis)
-    return out
-
-
-def _acin_value(out: np.ndarray) -> float:
-    return float(sum(abs(out[t]) ** 2 for t in _ACIN_TARGETS))
+    for p, u in enumerate(unitaries):
+        out = _apply_on_axis(u, out, p)
+    return out, float(sum(abs(out[t]) ** 2 for t in _ACIN_TARGETS))
 
 
 def _acin_gradient(out: np.ndarray) -> np.ndarray:
@@ -258,9 +256,7 @@ def _acin_gradient(out: np.ndarray) -> np.ndarray:
     grad = np.zeros((3, 3))
     for p in range(3):
         for a in range(3):
-            moved = np.moveaxis(
-                np.tensordot(_PAULI[a], out, axes=([1], [p])), 0, p
-            )
+            moved = _apply_on_axis(_PAULI[a], out, p)
             grad[p, a] = 2.0 * float(np.real(1j * np.vdot(proj, moved)))
     return grad
 
@@ -292,8 +288,7 @@ def acin_form(
             unitaries = [np.eye(2, dtype=complex) for _ in range(3)]
         else:
             unitaries = [_su2(rng.uniform(-math.pi, math.pi, size=3)) for _ in range(3)]
-        out = _apply_three(unitaries, tensor)
-        value = _acin_value(out)
+        out, value = _rotated(unitaries, tensor)
         step = 0.25
         for _ in range(max_iterations):
             if value <= target_value:
@@ -306,8 +301,7 @@ def acin_form(
                 trial = [
                     _su2(-step * grad[p]) @ unitaries[p] for p in range(3)
                 ]
-                trial_out = _apply_three(trial, tensor)
-                trial_value = _acin_value(trial_out)
+                trial_out, trial_value = _rotated(trial, tensor)
                 if trial_value < value:
                     unitaries, out, value = trial, trial_out, trial_value
                     step = min(step * 1.5, 2.0)

@@ -19,11 +19,14 @@ from itertools import product
 import numpy as np
 from scipy.optimize import nnls
 
+from .errors import NotCritical
 from .flow import (
     ZERO_STRATUM_MU2,
     FlowConfig,
     FlowTrace,
     flow_to_critical,
+    gradient_norm,
+    projected_gradient,
     terminal_stratum,
 )
 from .momentum import (
@@ -33,8 +36,15 @@ from .momentum import (
     psi,
     total_variance,
 )
-from .morse import complement_hessian_spectrum, morse_index, orbit_action_columns
-from .statespace import DISTINGUISHABLE, PureState, Sector, normalize
+from .morse import NULL_BAND, complement_hessian_spectrum, orbit_action_columns
+from .statespace import (
+    DISTINGUISHABLE,
+    PureState,
+    Sector,
+    _apply_on_axis,
+    _matricize,
+    normalize,
+)
 
 D_NULLCONE_THRESHOLD = math.sqrt(ZERO_STRATUM_MU2)
 DEGENERACY_REL_GAP = 1e-9
@@ -98,11 +108,8 @@ def eigenspace_csv(reports: list[EigenspaceReport]) -> str:
 
 def is_critical(state: PureState, tol: float = 1e-8) -> tuple[bool, float]:
     """Whether the projected momentum direction vanishes, plus the Rayleigh value."""
-    state = normalize(state)
-    image = mu_star_apply(momentum(state), state)
-    lam = float(np.vdot(state.amplitudes, image).real)
-    grad = float(np.linalg.norm(image - lam * state.amplitudes))
-    return grad <= tol, lam
+    grad, lam = projected_gradient(state)
+    return float(np.linalg.norm(grad)) <= tol, lam
 
 
 def _alpha_diagonal_values(alpha: SpectrumPoint) -> np.ndarray:
@@ -318,15 +325,13 @@ def _same_critical_class(
             return True
         improved = overlap
         for p in range(L):
-            A = np.moveaxis(ta, p, 0).reshape(N, -1)
-            B = np.moveaxis(tb, p, 0).reshape(N, -1)
-            G = B @ A.conj().T
+            G = _matricize(tb, p) @ _matricize(ta, p).conj().T
             U = np.zeros((N, N), dtype=complex)
             for idx in blocks[p]:
                 sub = G[np.ix_(idx, idx)]
                 W, _, Vh = np.linalg.svd(sub)
                 U[np.ix_(idx, idx)] = (W @ Vh).conj().T
-            tb = np.moveaxis(np.tensordot(U, tb, axes=([1], [p])), 0, p)
+            tb = _apply_on_axis(U, tb, p)
             improved = abs(np.vdot(ta, tb))
         if improved <= overlap + 1e-14:
             break
@@ -393,14 +398,23 @@ def classify_with_trace(
     terminal, trace = flow_to_critical(state, config)
     lam = momentum(terminal).norm_sq()
     d = math.sqrt(max(lam, 0.0))
-    hess = complement_hessian_spectrum(terminal) if lam > ZERO_STRATUM_MU2 else np.zeros(0)
+    # One compressed spectrum gives both the reported spectrum and the
+    # index, under the zero-level rule and criticality check of morse_index.
+    hess = np.zeros(0)
+    if lam > ZERO_STRATUM_MU2:
+        grad = gradient_norm(terminal)
+        if grad > morse_tol:
+            raise NotCritical(
+                f"gradient norm {grad:.3e} exceeds tolerance {morse_tol:.1e}"
+            )
+        hess = complement_hessian_spectrum(terminal)
     record = CriticalRecord(
         state=terminal,
         lambda_value=lam,
         d_value=d,
         variance=total_variance(terminal),
         stratum=terminal_stratum(terminal),
-        morse_index=morse_index(terminal, tol=morse_tol),
+        morse_index=2 * int(np.sum(hess < -NULL_BAND)),
         stability=_stability_from(d, state),
         hessian_spectrum=tuple(float(x) for x in hess),
     )

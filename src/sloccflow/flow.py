@@ -22,11 +22,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Divergent, NotConverged, ShapeMismatch, ZeroState
-from .momentum import SpectrumPoint, momentum, psi
+from .momentum import (
+    SpectrumPoint,
+    _one_body,
+    _shifted_densities,
+    momentum,
+    psi,
+)
 from .statespace import (
     LocalOperator,
     PureState,
     Sector,
+    _apply_on_axis,
     apply_local,
     embedding_isometry,
     normalize,
@@ -93,57 +100,35 @@ def _expm_traceless_hermitian(matrix: np.ndarray, scale: float) -> np.ndarray:
 
 
 class _FlowEngine:
-    """Raw-array flow kernels for one sector; avoids value-type overhead."""
+    """Raw-array flow state for one sector; avoids value-type overhead."""
 
     def __init__(self, sector: Sector):
-        self.sector = sector
-        self.L = sector.parties
-        self.N = sector.local_dim
-        self.dim = sector.dim
-        self.identical = sector.identical
-        self.scale = float(self.L) if self.identical else 1.0
-        self.shape = (self.N,) * self.L
+        L = sector.parties
+        # Identical particles keep one density, which acts once per particle.
+        self.count, self.copies = (1, L) if sector.identical else (L, 1)
+        self.scale = float(self.copies)
+        self.shape = (sector.local_dim,) * L
         self.embed = None if not sector.identical else np.asarray(
             embedding_isometry(sector)
         )
-        self._shift = np.eye(self.N) / self.N
 
     def tensor(self, amps: np.ndarray) -> np.ndarray:
         flat = amps if self.embed is None else self.embed @ amps
         return flat.reshape(self.shape)
 
-    def densities(self, tensor: np.ndarray) -> list[np.ndarray]:
-        """Shifted reduced densities rho_p - I/N (one entry if identical)."""
-        count = 1 if self.identical else self.L
-        out = []
-        for p in range(count):
-            moved = np.moveaxis(tensor, p, 0).reshape(self.N, -1)
-            rho = moved @ moved.conj().T
-            rho = 0.5 * (rho + rho.conj().T)
-            out.append(rho / np.trace(rho).real - self._shift)
-        return out
+    def amplitudes(self, tensor: np.ndarray) -> np.ndarray:
+        flat = tensor.reshape(-1)
+        return flat if self.embed is None else self.embed.conj().T @ flat
 
     def mu2(self, mats: list[np.ndarray]) -> float:
         total = sum(float(np.sum(np.abs(m) ** 2)) for m in mats)
         return self.scale**2 * total
 
-    def one_body(self, mats: list[np.ndarray], tensor: np.ndarray) -> np.ndarray:
-        """Coadjoint operator applied to the tensor, flattened to amplitudes."""
-        per_slot = mats * self.L if self.identical else mats
-        total = np.zeros_like(tensor)
-        for p, mat in enumerate(per_slot):
-            total += np.moveaxis(
-                np.tensordot(mat, tensor, axes=([1], [p])), 0, p
-            )
-        flat = total.reshape(-1)
-        if self.embed is not None:
-            flat = self.embed.conj().T @ flat
-        return self.scale * flat
-
     def gradient(
         self, mats: list[np.ndarray], tensor: np.ndarray, amps: np.ndarray
     ) -> tuple[np.ndarray, float]:
-        image = self.one_body(mats, tensor)
+        """Projected coadjoint image and its Rayleigh value."""
+        image = self.scale * self.amplitudes(_one_body(mats * self.copies, tensor))
         lam = float(np.vdot(amps, image).real)
         return image - lam * amps, lam
 
@@ -154,33 +139,36 @@ class _FlowEngine:
         factors = [
             _expm_traceless_hermitian(m, -step * self.scale) for m in mats
         ]
-        per_slot = factors * self.L if self.identical else factors
         out = tensor
-        for p, mat in enumerate(per_slot):
-            out = np.moveaxis(np.tensordot(mat, out, axes=([1], [p])), 0, p)
-        flat = out.reshape(-1)
-        if self.embed is not None:
-            flat = self.embed.conj().T @ flat
-        norm = np.linalg.norm(flat)
-        return flat / norm
+        for p, mat in enumerate(factors * self.copies):
+            out = _apply_on_axis(mat, out, p)
+        flat = self.amplitudes(out)
+        return flat / np.linalg.norm(flat)
+
+
+def _start(state: PureState) -> tuple[_FlowEngine, np.ndarray, np.ndarray]:
+    """Engine, unit amplitudes and tensor of a state."""
+    engine = _FlowEngine(state.sector)
+    amps = normalize(state).amplitudes
+    return engine, amps, engine.tensor(amps)
 
 
 def flow_step(state: PureState, step: float) -> PureState:
     """One exact exponential step down the momentum-norm gradient."""
-    engine = _FlowEngine(state.sector)
-    amps = normalize(state).amplitudes
-    tensor = engine.tensor(amps)
-    mats = engine.densities(tensor)
+    engine, _, tensor = _start(state)
+    mats = _shifted_densities(tensor, engine.count)
     return PureState(state.sector, engine.advance(mats, tensor, step))
+
+
+def projected_gradient(state: PureState) -> tuple[np.ndarray, float]:
+    """Gradient vector ``P(mu* v)`` at the normalized state and ``<v|mu* v>``."""
+    engine, amps, tensor = _start(state)
+    return engine.gradient(_shifted_densities(tensor, engine.count), tensor, amps)
 
 
 def gradient_norm(state: PureState) -> float:
     """Norm of the projected momentum-operator direction; zero iff critical."""
-    engine = _FlowEngine(state.sector)
-    amps = normalize(state).amplitudes
-    tensor = engine.tensor(amps)
-    grad, _ = engine.gradient(engine.densities(tensor), tensor, amps)
-    return float(np.linalg.norm(grad))
+    return float(np.linalg.norm(projected_gradient(state)[0]))
 
 
 MOMENTUM_BETA = 0.9
@@ -212,12 +200,10 @@ def flow_to_critical(
     cap.
     """
     config = config or FlowConfig()
-    engine = _FlowEngine(state.sector)
-    amps = normalize(state).amplitudes
+    engine, amps, tensor = _start(state)
     trace = FlowTrace()
     step = config.step_size
-    tensor = engine.tensor(amps)
-    mats = engine.densities(tensor)
+    mats = _shifted_densities(tensor, engine.count)
     mu2 = engine.mu2(mats)
     direction = [m.copy() for m in mats]
     iteration = 0
@@ -255,7 +241,7 @@ def flow_to_critical(
             move_direction, move_step = mats, min(step, config.step_size)
         trial = engine.advance(move_direction, tensor, move_step)
         trial_tensor = engine.tensor(trial)
-        trial_mats = engine.densities(trial_tensor)
+        trial_mats = _shifted_densities(trial_tensor, engine.count)
         trial_mu2 = engine.mu2(trial_mats)
         # Accept non-increase within rounding noise: true decreases near a
         # nonzero critical value fall below float resolution of mu2 itself.

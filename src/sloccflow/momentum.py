@@ -25,7 +25,9 @@ from .statespace import (
     DISTINGUISHABLE,
     PureState,
     Sector,
+    _apply_on_axis,
     _frozen,
+    _matricize,
     embedding_isometry,
 )
 
@@ -53,13 +55,6 @@ def gell_mann_frame(local_dim: int) -> np.ndarray:
         diag[ell, ell] = -float(ell)
         mats.append(diag / math.sqrt(ell * (ell + 1)))
     return _frozen(np.stack(mats, axis=0))
-
-
-def _clean_traceless_hermitian(matrix: np.ndarray) -> np.ndarray:
-    """Symmetrize and remove the trace part to absorb floating-point drift."""
-    N = matrix.shape[0]
-    herm = 0.5 * (matrix + matrix.conj().T)
-    return herm - (np.trace(herm).real / N) * np.eye(N)
 
 
 @dataclass(frozen=True)
@@ -151,6 +146,35 @@ class SpectrumPoint:
         }
 
 
+def _gram(tensor: np.ndarray, p: int) -> np.ndarray:
+    """Hermitized ``X X^H`` of axis ``p``: the unnormalized reduced density."""
+    X = _matricize(tensor, p)
+    rho = X @ X.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+def _shifted_densities(tensor: np.ndarray, count: int) -> list[np.ndarray]:
+    """``rho_p - I/N`` for the first ``count`` axes of a state tensor.
+
+    Raw-array form shared by ``momentum`` and the flow loop.
+    """
+    N = tensor.shape[0]
+    shift = np.eye(N) / N
+    out = []
+    for p in range(count):
+        rho = _gram(tensor, p)
+        out.append(rho / np.trace(rho).real - shift)
+    return out
+
+
+def _one_body(mats: list[np.ndarray], tensor: np.ndarray) -> np.ndarray:
+    """``sum_p I x..x M_p x..x I`` on a tensor; trailing batch axes allowed."""
+    total = np.zeros_like(tensor)
+    for p, mat in enumerate(mats):
+        total += _apply_on_axis(mat, tensor, p)
+    return total
+
+
 def reduced_density(state: PureState, party: int = 0) -> np.ndarray:
     """Reduced one-particle density matrix of a normalized state.
 
@@ -159,14 +183,12 @@ def reduced_density(state: PureState, party: int = 0) -> np.ndarray:
     power and tracing out everything but one slot.
     """
     sector = state.sector
-    L, N = sector.parties, sector.local_dim
+    L = sector.parties
     if sector.identical:
         party = 0
     if not 0 <= party < L:
         raise PartyOutOfRange(f"party {party} outside 0..{L - 1}")
-    tensor = state.to_tensor()
-    moved = np.moveaxis(tensor, party, 0).reshape(N, -1)
-    rho = moved @ moved.conj().T
+    rho = _gram(state.to_tensor(), party)
     norm = np.trace(rho).real
     if norm <= 0.0:
         raise ShapeMismatch("cannot reduce a zero state")
@@ -177,13 +199,7 @@ def momentum(state: PureState) -> MomentumPoint:
     """Momentum image: shifted reduced density per party (one if identical)."""
     sector = state.sector
     count = 1 if sector.identical else sector.parties
-    N = sector.local_dim
-    shift = np.eye(N) / N
-    matrices = tuple(
-        _clean_traceless_hermitian(reduced_density(state, p) - shift)
-        for p in range(count)
-    )
-    return MomentumPoint(sector, matrices)
+    return MomentumPoint(sector, tuple(_shifted_densities(state.to_tensor(), count)))
 
 
 def _per_party_matrices(
@@ -217,14 +233,9 @@ def mu_star_apply(
     as diagonal matrices; a raw list of matrices is applied as given.
     """
     sector = state.sector
-    mats = _per_party_matrices(point, sector)
-    L, N = sector.parties, sector.local_dim
-    tensor = state.to_tensor()
-    total = np.zeros_like(tensor)
-    for p, mat in enumerate(mats):
-        term = np.tensordot(mat, tensor, axes=([1], [p]))
-        total += np.moveaxis(term, 0, p)
-    flat = embedding_isometry(sector).conj().T @ total.reshape(-1)
+    flat = _one_body(_per_party_matrices(point, sector), state.to_tensor()).reshape(-1)
+    if sector.identical:
+        flat = embedding_isometry(sector).conj().T @ flat
     return flat
 
 
@@ -236,12 +247,9 @@ def mu_star_matrix(
     L, N = sector.parties, sector.local_dim
     dim = sector.dim
     V = embedding_isometry(sector)
-    Vt = V.reshape((N,) * L + (dim,))
-    total = np.zeros_like(Vt)
-    for p, mat in enumerate(mats):
-        term = np.tensordot(mat, Vt, axes=([1], [p]))
-        total += np.moveaxis(term, 0, p)
-    return V.conj().T @ total.reshape(N**L, dim)
+    total = _one_body(mats, V.reshape((N,) * L + (dim,))).reshape(N**L, dim)
+    # V is the identity for distinguishable parties.
+    return V.conj().T @ total if sector.identical else total
 
 
 def mu_norm_sq(state: PureState) -> float:
@@ -266,48 +274,42 @@ def represented_generators(sector: Sector) -> np.ndarray:
     """
     L, N = sector.parties, sector.local_dim
     frame = gell_mann_frame(N)
-    V = embedding_isometry(sector)
-    dim = sector.dim
     if sector.identical:
-        out = np.zeros((1, frame.shape[0], dim, dim), dtype=complex)
-        for i, xi in enumerate(frame):
-            cols = np.zeros((N**L, dim), dtype=complex)
-            for p in range(L):
-                term = np.tensordot(
-                    xi, V.reshape((N,) * L + (dim,)), axes=([1], [p])
-                )
-                cols += np.moveaxis(term, 0, p).reshape(N**L, dim)
-            out[0, i] = V.conj().T @ cols
-        return _frozen(out)
-    out = np.zeros((L, frame.shape[0], dim, dim), dtype=complex)
+        return _frozen(np.stack([mu_star_matrix([xi], sector) for xi in frame])[None])
+    dim = sector.dim
     eye = np.eye(dim, dtype=complex).reshape((N,) * L + (dim,))
+    out = np.zeros((L, frame.shape[0], dim, dim), dtype=complex)
     for p in range(L):
         for i, xi in enumerate(frame):
-            term = np.tensordot(xi, eye, axes=([1], [p]))
-            out[p, i] = np.moveaxis(term, 0, p).reshape(N**L, dim)
+            out[p, i] = _apply_on_axis(xi, eye, p).reshape(dim, dim)
     return _frozen(out)
+
+
+def _frame_moments(state: PureState) -> tuple[float, float]:
+    """``sum_i <X_i^2>`` and ``sum_i <X_i>^2`` over the local observable frame."""
+    sector = state.sector
+    v = state.amplitudes
+    squares = means = 0.0
+    if sector.identical:
+        for g in represented_generators(sector)[0]:
+            gv = g @ v
+            squares += float(np.vdot(gv, gv).real)
+            means += float(np.vdot(v, gv).real) ** 2
+        return squares, means
+    frame = gell_mann_frame(sector.local_dim)
+    square_sum = _frame_square_sum(sector.local_dim)
+    for p in range(sector.parties):
+        rho = reduced_density(state, p)
+        squares += float(np.trace(rho @ square_sum).real)
+        for xi in frame:
+            means += float(np.trace(rho @ xi).real) ** 2
+    return squares, means
 
 
 def total_variance(state: PureState) -> float:
     """Sum of variances of the full local observable frame in the state."""
-    sector = state.sector
-    v = state.amplitudes
-    if sector.identical:
-        gens = represented_generators(sector)[0]
-        var = 0.0
-        for g in gens:
-            gv = g @ v
-            var += float(np.vdot(gv, gv).real) - float(np.vdot(v, gv).real) ** 2
-        return var
-    frame = gell_mann_frame(sector.local_dim)
-    square_sum = _frame_square_sum(sector.local_dim)
-    var = 0.0
-    for p in range(sector.parties):
-        rho = reduced_density(state, p)
-        var += float(np.trace(rho @ square_sum).real)
-        for xi in frame:
-            var -= float(np.trace(rho @ xi).real) ** 2
-    return var
+    squares, means = _frame_moments(state)
+    return squares - means
 
 
 def casimir_constant(sector: Sector) -> float:
@@ -331,23 +333,8 @@ def casimir_vee_expectation(state: PureState) -> float:
     Computed directly from the represented frame as
     ``sum_i (2<X_i^2> + 2<X_i>^2)``; satisfies ``2c + 2||mu||^2``.
     """
-    sector = state.sector
-    v = state.amplitudes
-    total = 0.0
-    if sector.identical:
-        for g in represented_generators(sector)[0]:
-            gv = g @ v
-            total += 2.0 * float(np.vdot(gv, gv).real)
-            total += 2.0 * float(np.vdot(v, gv).real) ** 2
-        return total
-    frame = gell_mann_frame(sector.local_dim)
-    square_sum = _frame_square_sum(sector.local_dim)
-    for p in range(sector.parties):
-        rho = reduced_density(state, p)
-        total += 2.0 * float(np.trace(rho @ square_sum).real)
-        for xi in frame:
-            total += 2.0 * float(np.trace(rho @ xi).real) ** 2
-    return total
+    squares, means = _frame_moments(state)
+    return 2.0 * squares + 2.0 * means
 
 
 def psi(state: PureState) -> SpectrumPoint:

@@ -23,7 +23,7 @@ from .momentum import (
     mu_star_matrix,
     represented_generators,
 )
-from .statespace import PureState, normalize
+from .statespace import PureState, _apply_on_axis, normalize
 
 # Frames are built at flow terminals, where residual unstable-direction
 # seeds sit at the gradient-tolerance scale (~1e-9); the cut must sit above
@@ -52,8 +52,7 @@ def orbit_action_columns(state: PureState) -> np.ndarray:
         parts = []
         for p in range(L):
             for xi in frame:
-                term = np.tensordot(xi, tensor, axes=([1], [p]))
-                parts.append(np.moveaxis(term, 0, p).reshape(-1))
+                parts.append(_apply_on_axis(xi, tensor, p).reshape(-1))
         cols = np.stack(parts, axis=1)
     overlaps = v.conj() @ cols
     return cols - np.outer(v, overlaps)
@@ -98,20 +97,15 @@ def orbit_tangent_frame(state: PureState, rel_tol: float = FRAME_REL_TOL) -> Tan
     v = state.amplitudes
     dim = state.sector.dim
     cols = orbit_action_columns(state)
-    U, s, _ = np.linalg.svd(cols, full_matrices=True)
+    U, s, _ = np.linalg.svd(cols, full_matrices=False)
     rank = int(np.sum(s > (s[0] if s.size and s[0] > 0 else 1.0) * rel_tol))
     orbit = U[:, :rank]
-    rest = U[:, rank:]
-    # The trailing singular directions still contain the base point itself;
-    # remove it and re-orthonormalize to get the projective complement.
-    rest = rest - np.outer(v, v.conj() @ rest)
-    U2, s2, _ = np.linalg.svd(rest, full_matrices=False)
-    complement = U2[:, : max(dim - 1 - rank, 0)]
-    if complement.shape[1] != dim - 1 - rank or np.any(
-        s2[: complement.shape[1]] < 0.5
-    ):
+    # Complete the base point and the orbit directions to a unitary; the
+    # remaining columns span the projective complement.
+    Q, R = np.linalg.qr(np.column_stack([v, orbit]), mode="complete")
+    if rank + 1 > dim or np.any(np.abs(np.diag(R)[: rank + 1]) < 0.5):
         raise RuntimeError("tangent frame construction lost dimensions")
-    return TangentFrame(state, orbit, complement)
+    return TangentFrame(state, orbit, Q[:, rank + 1 :])
 
 
 def _frozen_operator(state: PureState) -> tuple[np.ndarray, float]:

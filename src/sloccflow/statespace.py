@@ -244,14 +244,24 @@ def inner(a: PureState, b: PureState) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def _tensor_apply(tensor: np.ndarray, matrices: list[np.ndarray]) -> np.ndarray:
-    """Apply one matrix per tensor axis."""
-    out = tensor
-    L = tensor.ndim
-    for axis, mat in enumerate(matrices):
-        out = np.tensordot(mat, out, axes=([1], [axis]))
-        out = np.moveaxis(out, 0, axis)
-    return out
+def _matricize(x: np.ndarray, p: int) -> np.ndarray:
+    """Axis ``p`` of ``x`` as rows, the other axes in order as columns.
+
+    ``X @ X^H`` of this view is the Gram matrix of axis ``p``: the reduced
+    density of party ``p`` for a unit state tensor.
+    """
+    n = x.shape[p]
+    return x.reshape(math.prod(x.shape[:p]), n, -1).transpose(1, 0, 2).reshape(n, -1)
+
+
+def _apply_on_axis(mat: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
+    """``mat`` acting on axis ``p`` of ``x``; axes past the parties may be a batch.
+
+    One GEMM on the matricized view, folded back to the shape of ``x``.
+    """
+    n = x.shape[p]
+    out = mat @ _matricize(x, p)
+    return out.reshape(n, math.prod(x.shape[:p]), -1).transpose(1, 0, 2).reshape(x.shape)
 
 
 def apply_local(ops: list[LocalOperator] | LocalOperator, state: PureState) -> PureState:
@@ -282,7 +292,9 @@ def apply_local(ops: list[LocalOperator] | LocalOperator, state: PureState) -> P
                 f"need exactly one operator per party 0..{L - 1}"
             )
         matrices = [op.matrix for op in sorted(ops, key=lambda o: o.party)]
-    out = _tensor_apply(state.to_tensor(), matrices)
+    out = state.to_tensor()
+    for p, mat in enumerate(matrices):
+        out = _apply_on_axis(mat, out, p)
     return state_from_tensor(sector, out)
 
 
@@ -336,8 +348,14 @@ def state_from_json(document: dict | str) -> PureState:
         )
         pairs = document["amplitudes"]
         amps = np.array([complex(re, im) for re, im in pairs], dtype=complex)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ShapeMismatch(f"malformed state document: {exc}") from exc
+    if not np.all(np.isfinite(amps)):
+        raise ShapeMismatch("malformed state document: non-finite amplitude")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.linalg.norm(amps)):
+            # Scale by the largest component first; that division cannot overflow.
+            amps = amps / np.max(np.abs(amps.view(float)))
     return normalize(PureState(sector, amps))
 
 

@@ -73,6 +73,33 @@ class TestClassify:
     def test_missing_file(self, capsys):
         assert main(["classify", "/nonexistent/state.json"]) == 2
 
+    def test_non_finite_amplitude_rejected(self, tmp_path, capsys):
+        doc = {
+            "sector": "distinguishable",
+            "parties": 2,
+            "local_dim": 2,
+            "amplitudes": [[float("nan"), 0], [0, 0], [0, 0], [1, 0]],
+        }
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        assert main(["classify", str(path), "--max-iter", "50"]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_overflowing_norm_loads_as_scaled_state(self, tmp_path, capsys):
+        records = []
+        for scale in (1.0, 1e308):
+            doc = {
+                "sector": "distinguishable",
+                "parties": 2,
+                "local_dim": 2,
+                "amplitudes": [[scale, 0], [0, 0], [0, 0], [scale, 0]],
+            }
+            path = tmp_path / f"bell_{scale:g}.json"
+            path.write_text(json.dumps(doc))
+            assert main(["classify", str(path)]) == 0
+            records.append(json.loads(capsys.readouterr().out)["record"])
+        assert records[0] == records[1]
+
     def test_not_converged_exit(self, ghz_class_file, capsys):
         assert main(["classify", ghz_class_file, "--max-iter", "2"]) == 3
 
