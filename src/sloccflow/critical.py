@@ -19,13 +19,11 @@ from itertools import product
 import numpy as np
 from scipy.optimize import nnls
 
-from .errors import NotCritical
 from .flow import (
     ZERO_STRATUM_MU2,
     FlowConfig,
     FlowTrace,
     flow_to_critical,
-    gradient_norm,
     projected_gradient,
     terminal_stratum,
 )
@@ -36,7 +34,12 @@ from .momentum import (
     psi,
     total_variance,
 )
-from .morse import NULL_BAND, complement_hessian_spectrum, orbit_action_columns
+from .morse import (
+    complement_hessian_spectrum,
+    critical_above_zero_level,
+    index_from_spectrum,
+    orbit_action_columns,
+)
 from .statespace import (
     DISTINGUISHABLE,
     PureState,
@@ -398,23 +401,16 @@ def classify_with_trace(
     terminal, trace = flow_to_critical(state, config)
     lam = momentum(terminal).norm_sq()
     d = math.sqrt(max(lam, 0.0))
-    # One compressed spectrum gives both the reported spectrum and the
-    # index, under the zero-level rule and criticality check of morse_index.
-    hess = np.zeros(0)
-    if lam > ZERO_STRATUM_MU2:
-        grad = gradient_norm(terminal)
-        if grad > morse_tol:
-            raise NotCritical(
-                f"gradient norm {grad:.3e} exceeds tolerance {morse_tol:.1e}"
-            )
-        hess = complement_hessian_spectrum(terminal)
+    # One compressed spectrum gives both the reported spectrum and the index.
+    counted = critical_above_zero_level(terminal, morse_tol)
+    hess = complement_hessian_spectrum(terminal) if counted else np.zeros(0)
     record = CriticalRecord(
         state=terminal,
         lambda_value=lam,
         d_value=d,
         variance=total_variance(terminal),
         stratum=terminal_stratum(terminal),
-        morse_index=2 * int(np.sum(hess < -NULL_BAND)),
+        morse_index=index_from_spectrum(hess),
         stability=_stability_from(d, state),
         hessian_spectrum=tuple(float(x) for x in hess),
     )

@@ -146,11 +146,14 @@ class SpectrumPoint:
         }
 
 
-def _gram(tensor: np.ndarray, p: int) -> np.ndarray:
-    """Hermitized ``X X^H`` of axis ``p``: the unnormalized reduced density."""
+def _density(tensor: np.ndarray, p: int) -> np.ndarray:
+    """Unit-trace Hermitized ``X X^H`` of axis ``p``: the reduced density."""
     X = _matricize(tensor, p)
     rho = X @ X.conj().T
-    return 0.5 * (rho + rho.conj().T)
+    norm = np.trace(rho).real
+    if norm <= 0.0:
+        raise ShapeMismatch("cannot reduce a zero state")
+    return 0.5 * (rho + rho.conj().T) / norm
 
 
 def _shifted_densities(tensor: np.ndarray, count: int) -> list[np.ndarray]:
@@ -158,13 +161,8 @@ def _shifted_densities(tensor: np.ndarray, count: int) -> list[np.ndarray]:
 
     Raw-array form shared by ``momentum`` and the flow loop.
     """
-    N = tensor.shape[0]
-    shift = np.eye(N) / N
-    out = []
-    for p in range(count):
-        rho = _gram(tensor, p)
-        out.append(rho / np.trace(rho).real - shift)
-    return out
+    shift = np.eye(tensor.shape[0]) / tensor.shape[0]
+    return [_density(tensor, p) - shift for p in range(count)]
 
 
 def _one_body(mats: list[np.ndarray], tensor: np.ndarray) -> np.ndarray:
@@ -188,11 +186,7 @@ def reduced_density(state: PureState, party: int = 0) -> np.ndarray:
         party = 0
     if not 0 <= party < L:
         raise PartyOutOfRange(f"party {party} outside 0..{L - 1}")
-    rho = _gram(state.to_tensor(), party)
-    norm = np.trace(rho).real
-    if norm <= 0.0:
-        raise ShapeMismatch("cannot reduce a zero state")
-    return rho / norm
+    return _density(state.to_tensor(), party)
 
 
 def momentum(state: PureState) -> MomentumPoint:

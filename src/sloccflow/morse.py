@@ -127,16 +127,30 @@ def morse_index(
     eigenvalues of the frozen momentum operator strictly below the Rayleigh
     value, with a ``null_band`` guard for numerically flat directions.
     """
+    if not critical_above_zero_level(state, tol):
+        return 0
+    return index_from_spectrum(complement_hessian_spectrum(state), null_band)
+
+
+def index_from_spectrum(hess: np.ndarray, null_band: float = NULL_BAND) -> int:
+    """Morse index of a compressed spectrum: each negative entry counts twice."""
+    return 2 * int(np.sum(hess < -null_band))
+
+
+def critical_above_zero_level(state: PureState, tol: float = 1e-8) -> bool:
+    """Whether the state lies above the zero level, where its index is counted.
+
+    Raises ``NotCritical`` there when the gradient norm exceeds ``tol``.
+    """
     state = normalize(state)
     # At (or numerically inside) the zero level the index is zero; residual
     # gradients of semistable terminals do not count against criticality.
     if momentum(state).norm_sq() <= ZERO_STRATUM_MU2:
-        return 0
+        return False
     grad = gradient_norm(state)
     if grad > tol:
         raise NotCritical(f"gradient norm {grad:.3e} exceeds tolerance {tol:.1e}")
-    hess = complement_hessian_spectrum(state)
-    return 2 * int(np.sum(hess < -null_band))
+    return True
 
 
 def complement_hessian_spectrum(state: PureState) -> np.ndarray:

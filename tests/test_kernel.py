@@ -5,8 +5,6 @@ from sloccflow import morse
 from sloccflow.critical import classify_with_trace
 from sloccflow.statespace import _apply_on_axis
 
-from conftest import qubits
-
 LETTERS = "abcdefg"
 
 

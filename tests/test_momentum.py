@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sloccflow.errors import NotInWeylChamber, NotQubitSector
+from sloccflow.errors import NotInWeylChamber, NotQubitSector, ShapeMismatch
 from sloccflow.momentum import (
     SpectrumPoint,
     casimir_constant,
@@ -103,6 +103,13 @@ class TestMomentum:
     def test_bell_zero(self, bell):
         point = momentum(bell)
         assert all(np.max(np.abs(m)) < 1e-14 for m in point.matrices)
+
+    @pytest.mark.parametrize("sector", SECTORS, ids=str)
+    def test_zero_state_raises(self, sector):
+        zero = PureState(sector, np.zeros(sector.dim))
+        for f in (momentum, mu_norm_sq, psi, reduced_density):
+            with pytest.raises(ShapeMismatch):
+                f(zero)
 
     def test_matrices_hermitian_traceless_with_density_spectra(self, rng):
         for sector in SECTORS:
