@@ -78,8 +78,7 @@ def schmidt(state: PureState) -> SchmidtForm:
     sector = state.sector
     if sector.kind != DISTINGUISHABLE or sector.parties != 2:
         raise SectorMismatch("schmidt requires two distinguishable particles")
-    N = sector.local_dim
-    C = normalize(state).amplitudes.reshape(N, N)
+    C = normalize(state).to_tensor()
     U, s, Vh = np.linalg.svd(C)
     # (U1 (x) U2) C with U1 = U^dagger, U2 = Vh^T-bar sends C to diag(s):
     # (U^dagger C Vh^dagger)_ij = s_i delta_ij.
@@ -279,7 +278,7 @@ def acin_form(
     sector = state.sector
     if sector.kind != DISTINGUISHABLE or sector.parties != 3 or sector.local_dim != 2:
         raise SectorMismatch("acin_form requires three distinguishable qubits")
-    tensor = normalize(state).amplitudes.reshape(2, 2, 2)
+    tensor = normalize(state).to_tensor()
     rng = np.random.default_rng(seed)
     target_value = residual_target**2
     best: tuple[float, list[np.ndarray]] | None = None

@@ -345,19 +345,11 @@ def _same_critical_class(
 def orbit_dimension(state: PureState, rel_tol: float = 1e-10) -> int:
     """Real dimension of the invertible-local-operations orbit through the state."""
     state = normalize(state)
-    cols = orbit_action_columns(state)
-    # Real span of {cols, i*cols}: rank over the reals.
-    real_cols = np.concatenate(
-        [
-            np.concatenate([cols.real, cols.imag], axis=0),
-            np.concatenate([-cols.imag, cols.real], axis=0),
-        ],
-        axis=1,
-    )
-    s = np.linalg.svd(real_cols, compute_uv=False)
+    s = np.linalg.svd(orbit_action_columns(state), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > s[0] * rel_tol))
+    # The real span of {cols, i*cols} has twice the complex rank.
+    return 2 * int(np.sum(s > s[0] * rel_tol))
 
 
 def group_dimension(sector: Sector) -> int:

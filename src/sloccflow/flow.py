@@ -25,17 +25,18 @@ from .errors import Divergent, NotConverged, ShapeMismatch, ZeroState
 from .momentum import (
     SpectrumPoint,
     _one_body,
+    _ordered_spectra,
     _shifted_densities,
     momentum,
-    psi,
 )
 from .statespace import (
     LocalOperator,
     PureState,
     Sector,
     _apply_on_axis,
+    _embed,
+    _project,
     apply_local,
-    embedding_isometry,
     normalize,
 )
 
@@ -104,21 +105,10 @@ class _FlowEngine:
 
     def __init__(self, sector: Sector):
         L = sector.parties
+        self.sector = sector
         # Identical particles keep one density, which acts once per particle.
         self.count, self.copies = (1, L) if sector.identical else (L, 1)
         self.scale = float(self.copies)
-        self.shape = (sector.local_dim,) * L
-        self.embed = None if not sector.identical else np.asarray(
-            embedding_isometry(sector)
-        )
-
-    def tensor(self, amps: np.ndarray) -> np.ndarray:
-        flat = amps if self.embed is None else self.embed @ amps
-        return flat.reshape(self.shape)
-
-    def amplitudes(self, tensor: np.ndarray) -> np.ndarray:
-        flat = tensor.reshape(-1)
-        return flat if self.embed is None else self.embed.conj().T @ flat
 
     def mu2(self, mats: list[np.ndarray]) -> float:
         total = sum(float(np.sum(np.abs(m) ** 2)) for m in mats)
@@ -128,7 +118,7 @@ class _FlowEngine:
         self, mats: list[np.ndarray], tensor: np.ndarray, amps: np.ndarray
     ) -> tuple[np.ndarray, float]:
         """Projected coadjoint image and its Rayleigh value."""
-        image = self.scale * self.amplitudes(_one_body(mats * self.copies, tensor))
+        image = self.scale * _project(self.sector, _one_body(mats * self.copies, tensor))
         lam = float(np.vdot(amps, image).real)
         return image - lam * amps, lam
 
@@ -142,7 +132,7 @@ class _FlowEngine:
         out = tensor
         for p, mat in enumerate(factors * self.copies):
             out = _apply_on_axis(mat, out, p)
-        flat = self.amplitudes(out)
+        flat = _project(self.sector, out)
         return flat / np.linalg.norm(flat)
 
 
@@ -150,7 +140,7 @@ def _start(state: PureState) -> tuple[_FlowEngine, np.ndarray, np.ndarray]:
     """Engine, unit amplitudes and tensor of a state."""
     engine = _FlowEngine(state.sector)
     amps = normalize(state).amplitudes
-    return engine, amps, engine.tensor(amps)
+    return engine, amps, _embed(state.sector, amps)
 
 
 def flow_step(state: PureState, step: float) -> PureState:
@@ -240,7 +230,7 @@ def flow_to_critical(
         else:
             move_direction, move_step = mats, min(step, config.step_size)
         trial = engine.advance(move_direction, tensor, move_step)
-        trial_tensor = engine.tensor(trial)
+        trial_tensor = _embed(state.sector, trial)
         trial_mats = _shifted_densities(trial_tensor, engine.count)
         trial_mu2 = engine.mu2(trial_mats)
         # Accept non-increase within rounding noise: true decreases near a
@@ -290,8 +280,9 @@ def stratum_label(state: PureState, config: FlowConfig | None = None) -> Spectru
 
 
 def terminal_stratum(terminal: PureState) -> SpectrumPoint:
-    label = psi(terminal)
-    if momentum(terminal).norm_sq() < ZERO_STRATUM_MU2:
+    point = momentum(terminal)
+    label = _ordered_spectra(point)
+    if point.norm_sq() < ZERO_STRATUM_MU2:
         return SpectrumPoint(
             terminal.sector, tuple(np.zeros_like(s) for s in label.spectra)
         )

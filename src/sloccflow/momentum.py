@@ -26,9 +26,10 @@ from .statespace import (
     PureState,
     Sector,
     _apply_on_axis,
+    _embed,
     _frozen,
     _matricize,
-    embedding_isometry,
+    _project,
 )
 
 @lru_cache(maxsize=None)
@@ -218,6 +219,16 @@ def _per_party_matrices(
     return mats
 
 
+def _mu_star(
+    point: MomentumPoint | SpectrumPoint | list[np.ndarray],
+    sector: Sector,
+    x: np.ndarray,
+) -> np.ndarray:
+    """One-body sum of ``point`` on sector amplitudes ``x`` (batch axis kept)."""
+    mats = _per_party_matrices(point, sector)
+    return _project(sector, _one_body(mats, _embed(sector, x)))
+
+
 def mu_star_apply(
     point: MomentumPoint | SpectrumPoint | list[np.ndarray], state: PureState
 ) -> np.ndarray:
@@ -226,24 +237,14 @@ def mu_star_apply(
     A MomentumPoint acts through its coadjoint matrices; a SpectrumPoint acts
     as diagonal matrices; a raw list of matrices is applied as given.
     """
-    sector = state.sector
-    flat = _one_body(_per_party_matrices(point, sector), state.to_tensor()).reshape(-1)
-    if sector.identical:
-        flat = embedding_isometry(sector).conj().T @ flat
-    return flat
+    return _mu_star(point, state.sector, state.amplitudes)
 
 
 def mu_star_matrix(
     point: MomentumPoint | SpectrumPoint | list[np.ndarray], sector: Sector
 ) -> np.ndarray:
     """Dense sector-basis matrix of the one-body sum ``sum_p embed_p(M_p)``."""
-    mats = _per_party_matrices(point, sector)
-    L, N = sector.parties, sector.local_dim
-    dim = sector.dim
-    V = embedding_isometry(sector)
-    total = _one_body(mats, V.reshape((N,) * L + (dim,))).reshape(N**L, dim)
-    # V is the identity for distinguishable parties.
-    return V.conj().T @ total if sector.identical else total
+    return _mu_star(point, sector, np.eye(sector.dim, dtype=complex))
 
 
 def mu_norm_sq(state: PureState) -> float:
@@ -270,13 +271,10 @@ def represented_generators(sector: Sector) -> np.ndarray:
     frame = gell_mann_frame(N)
     if sector.identical:
         return _frozen(np.stack([mu_star_matrix([xi], sector) for xi in frame])[None])
-    dim = sector.dim
-    eye = np.eye(dim, dtype=complex).reshape((N,) * L + (dim,))
-    out = np.zeros((L, frame.shape[0], dim, dim), dtype=complex)
-    for p in range(L):
-        for i, xi in enumerate(frame):
-            out[p, i] = _apply_on_axis(xi, eye, p).reshape(dim, dim)
-    return _frozen(out)
+    eye = _embed(sector, np.eye(sector.dim, dtype=complex))
+    return _frozen([
+        [_project(sector, _apply_on_axis(xi, eye, p)) for xi in frame] for p in range(L)
+    ])
 
 
 def _frame_moments(state: PureState) -> tuple[float, float]:
@@ -331,13 +329,14 @@ def casimir_vee_expectation(state: PureState) -> float:
     return 2.0 * squares + 2.0 * means
 
 
+def _ordered_spectra(point: MomentumPoint) -> SpectrumPoint:
+    spectra = tuple(np.sort(np.linalg.eigvalsh(m))[::-1] for m in point.matrices)
+    return SpectrumPoint(point.sector, spectra)
+
+
 def psi(state: PureState) -> SpectrumPoint:
     """Per-party weakly decreasing spectra of the shifted reduced densities."""
-    point = momentum(state)
-    spectra = tuple(
-        np.sort(np.linalg.eigvalsh(m))[::-1] for m in point.matrices
-    )
-    return SpectrumPoint(state.sector, spectra)
+    return _ordered_spectra(momentum(state))
 
 
 def polygonal_check(spectra: SpectrumPoint, tol: float = 1e-12) -> tuple[bool, list[int]]:

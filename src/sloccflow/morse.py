@@ -17,13 +17,8 @@ import numpy as np
 
 from .errors import NotCritical
 from .flow import ZERO_STRATUM_MU2, gradient_norm
-from .momentum import (
-    gell_mann_frame,
-    momentum,
-    mu_star_matrix,
-    represented_generators,
-)
-from .statespace import PureState, _apply_on_axis, normalize
+from .momentum import _mu_star, _one_body, gell_mann_frame, momentum, mu_star_matrix
+from .statespace import PureState, _apply_on_axis, _embed, _project, normalize
 
 # Frames are built at flow terminals, where residual unstable-direction
 # seeds sit at the gradient-tolerance scale (~1e-9); the cut must sit above
@@ -41,19 +36,14 @@ def orbit_action_columns(state: PureState) -> np.ndarray:
     algebra is closed under multiplication by ``i``.
     """
     sector = state.sector
-    v = state.amplitudes
+    L, v = sector.parties, state.amplitudes
+    tensor = _embed(sector, v)
+    frame = gell_mann_frame(sector.local_dim)
     if sector.identical:
-        gens = represented_generators(sector)[0]
-        cols = np.stack([g @ v for g in gens], axis=1)
+        parts = [_one_body([xi] * L, tensor) for xi in frame]
     else:
-        L, N = sector.parties, sector.local_dim
-        frame = gell_mann_frame(N)
-        tensor = state.to_tensor()
-        parts = []
-        for p in range(L):
-            for xi in frame:
-                parts.append(_apply_on_axis(xi, tensor, p).reshape(-1))
-        cols = np.stack(parts, axis=1)
+        parts = [_apply_on_axis(xi, tensor, p) for p in range(L) for xi in frame]
+    cols = _project(sector, np.stack(parts, axis=-1))
     overlaps = v.conj() @ cols
     return cols - np.outer(v, overlaps)
 
@@ -108,14 +98,6 @@ def orbit_tangent_frame(state: PureState, rel_tol: float = FRAME_REL_TOL) -> Tan
     return TangentFrame(state, orbit, Q[:, rank + 1 :])
 
 
-def _frozen_operator(state: PureState) -> tuple[np.ndarray, float]:
-    """Momentum operator at the state and its Rayleigh value."""
-    sector = state.sector
-    M = mu_star_matrix(momentum(state), sector)
-    lam = float(np.vdot(state.amplitudes, M @ state.amplitudes).real)
-    return M, lam
-
-
 def morse_index(
     state: PureState,
     tol: float = 1e-8,
@@ -163,8 +145,11 @@ def complement_hessian_spectrum(state: PureState) -> np.ndarray:
     C = frame.complement_complex
     if C.shape[1] == 0:
         return np.zeros(0)
-    M, lam = _frozen_operator(state)
-    compressed = C.conj().T @ M @ C
+    # The frozen momentum operator acts matrix-free on [v, C]: <v|M v> and M C.
+    v = state.amplitudes
+    image = _mu_star(momentum(state), state.sector, np.column_stack([v, C]))
+    lam = float(np.vdot(v, image[:, 0]).real)
+    compressed = C.conj().T @ image[:, 1:]
     eigs = np.linalg.eigvalsh(0.5 * (compressed + compressed.conj().T))
     return 2.0 * (eigs - lam)
 
@@ -189,7 +174,7 @@ def hessian_fd_oracle(
     m = len(directions)
     if m == 0:
         return np.zeros((0, 0))
-    M, _ = _frozen_operator(state)
+    M = mu_star_matrix(momentum(state), state.sector)
     v = state.amplitudes
 
     def f(w: np.ndarray) -> float:

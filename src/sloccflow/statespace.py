@@ -102,12 +102,12 @@ def _basis_labels(sector: Sector) -> tuple[tuple[int, ...], ...]:
     if sector.kind == DISTINGUISHABLE:
         return tuple(itertools.product(range(N), repeat=L))
     if sector.kind == BOSONIC:
-        occupations = [
-            occ
-            for occ in itertools.product(range(L + 1), repeat=N)
-            if sum(occ) == L
-        ]
-        return tuple(sorted(occupations, reverse=True))
+        # Sorted digit words in increasing order list their occupation
+        # vectors in decreasing order.
+        return tuple(
+            tuple(word.count(j) for j in range(N))
+            for word in itertools.combinations_with_replacement(range(N), L)
+        )
     return tuple(itertools.combinations(range(1, N + 1), L))
 
 
@@ -116,46 +116,51 @@ def _basis_index(sector: Sector) -> dict[tuple[int, ...], int]:
     return {label: i for i, label in enumerate(_basis_labels(sector))}
 
 
-def _permutation_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 @lru_cache(maxsize=None)
 def embedding_isometry(sector: Sector) -> np.ndarray:
     """Isometry from the sector basis into the full tensor power ``(C^N)^L``.
 
     Columns are the orthonormal (anti)symmetrized basis vectors; for
-    distinguishable particles this is the identity.
+    distinguishable particles this is the identity.  Built in one pass over
+    the product kets: a bosonic ket lies in the column of its sorted digit
+    word (its occupation vector) with entry ``1/sqrt(multinomial)``, a
+    fermionic ket with distinct digits in the column of its digit set with
+    entry ``(-1)^inversions / sqrt(L!)``.  Raises ShapeMismatch when the
+    ``N^L x dim`` array cannot be allocated.
     """
     L, N = sector.parties, sector.local_dim
-    full = N**L
-    if sector.kind == DISTINGUISHABLE:
-        return _frozen(np.eye(full))
-    labels = _basis_labels(sector)
-    V = np.zeros((full, len(labels)), dtype=complex)
+    full, dim = N**L, sector.dim
     radix = N ** np.arange(L - 1, -1, -1)
+    try:
+        if sector.kind == DISTINGUISHABLE:
+            return _frozen(np.eye(full))
+        V = np.zeros((full, dim), dtype=complex)
+        digits = (np.arange(full)[:, None] // radix) % N
+    except MemoryError as exc:
+        raise ShapeMismatch(
+            f"{sector} embeds as a {N}^{L} x {dim} = {full} x {dim} array, "
+            "too large to allocate"
+        ) from exc
+    ordered = np.sort(digits, axis=1)
     if sector.kind == BOSONIC:
-        for col, occ in enumerate(labels):
-            word = tuple(
-                letter for letter, count in enumerate(occ) for _ in range(count)
-            )
-            perms = set(itertools.permutations(word))
-            coeff = 1.0 / math.sqrt(len(perms))
-            for perm in perms:
-                V[int(np.dot(perm, radix)), col] = coeff
+        words = itertools.combinations_with_replacement(range(N), L)
+        rows, signs = np.arange(full), 1.0
+        norms = np.sqrt([
+            math.factorial(L) // math.prod(map(math.factorial, occ))
+            for occ in _basis_labels(sector)
+        ])
     else:
-        coeff = 1.0 / math.sqrt(math.factorial(L))
-        for col, subset in enumerate(labels):
-            for perm in itertools.permutations(range(L)):
-                digits = tuple(subset[p] - 1 for p in perm)
-                V[int(np.dot(digits, radix)), col] += (
-                    _permutation_sign(perm) * coeff
-                )
+        words = itertools.combinations(range(N), L)
+        rows = np.flatnonzero(np.all(ordered[:, 1:] > ordered[:, :-1], axis=1))
+        inversions = sum(
+            digits[rows, i] > digits[rows, j] for i in range(L) for j in range(i + 1, L)
+        )
+        signs = (-1.0) ** inversions
+        norms = np.full(dim, math.sqrt(math.factorial(L)))
+    # Increasing words are the basis order of both kinds (see _basis_labels).
+    word_keys = np.array(list(words), dtype=np.int64).reshape(dim, L) @ radix
+    cols = np.searchsorted(word_keys, ordered[rows] @ radix)
+    V[rows, cols] = signs / norms[cols]
     V.setflags(write=False)
     return V
 
@@ -182,9 +187,7 @@ class PureState:
 
     def to_tensor(self) -> np.ndarray:
         """Amplitudes embedded in the full tensor power, shaped ``(N,)*L``."""
-        L, N = self.sector.parties, self.sector.local_dim
-        flat = embedding_isometry(self.sector) @ self.amplitudes
-        return flat.reshape((N,) * L)
+        return _embed(self.sector, self.amplitudes)
 
     def overlap_distance(self, other: "PureState") -> float:
         """Projective distance ``min_phase ||a - e^{i t} b||`` between unit states.
@@ -221,12 +224,33 @@ class LocalOperator:
         object.__setattr__(self, "matrix", _frozen(mat))
 
 
+def _embed(sector: Sector, x: np.ndarray) -> np.ndarray:
+    """Sector amplitudes ``x`` as a tensor ``(N,)*L``; a trailing batch axis is kept.
+
+    Distinguishable amplitudes are only reshaped; identical-particle ones go
+    through the embedding isometry in one GEMM.
+    """
+    if sector.identical:
+        x = embedding_isometry(sector) @ x
+    return x.reshape((sector.local_dim,) * sector.parties + x.shape[1:])
+
+
+def _project(sector: Sector, t: np.ndarray) -> np.ndarray:
+    """Sector amplitudes of a tensor ``(N,)*L``; a trailing batch axis is kept.
+
+    The adjoint of ``_embed``: the isometry is real, so its transpose.
+    """
+    flat = t.reshape((sector.local_dim**sector.parties,) + t.shape[sector.parties :])
+    return embedding_isometry(sector).T @ flat if sector.identical else flat
+
+
 def state_from_tensor(sector: Sector, tensor: np.ndarray) -> PureState:
     """Project a full tensor back onto the sector basis."""
+    L, N = sector.parties, sector.local_dim
     flat = np.asarray(tensor, dtype=complex).reshape(-1)
-    if flat.shape[0] != sector.local_dim**sector.parties:
+    if flat.shape[0] != N**L:
         raise ShapeMismatch("tensor size does not match the sector")
-    return PureState(sector, embedding_isometry(sector).conj().T @ flat)
+    return PureState(sector, _project(sector, flat.reshape((N,) * L)))
 
 
 def normalize(state: PureState) -> PureState:
@@ -318,14 +342,15 @@ def hodge_dual(state: PureState) -> PureState:
     sector = state.sector
     if sector.kind != FERMIONIC:
         raise SectorMismatch("hodge_dual requires a fermionic sector")
-    N = sector.local_dim
-    dual_sector = fermionic(N - sector.parties, N)
+    L, N = sector.parties, sector.local_dim
+    dual_sector = fermionic(N - L, N)
     index = _basis_index(dual_sector)
     amps = np.zeros(dual_sector.dim, dtype=complex)
     everything = set(range(1, N + 1))
     for i, subset in enumerate(sector.basis_labels()):
         comp = tuple(sorted(everything - set(subset)))
-        sign = _permutation_sign(subset + comp)
+        # subset[j] moves past the subset[j] - 1 - j complement modes below it.
+        sign = (-1) ** (sum(subset) - L * (L + 1) // 2)
         amps[index[comp]] += sign * state.amplitudes[i]
     return PureState(dual_sector, amps)
 

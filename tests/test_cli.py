@@ -85,6 +85,21 @@ class TestClassify:
         assert main(["classify", str(path), "--max-iter", "50"]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    def test_unallocatable_embedding_is_an_input_error(self, tmp_path, capsys):
+        # A well-formed 40-boson qubit document: its 2^40 x 41 embedding
+        # cannot be allocated, which the CLI reports as an input error.
+        doc = {
+            "sector": "bosonic",
+            "parties": 40,
+            "local_dim": 2,
+            "amplitudes": [[1, 0]] * 41,
+        }
+        path = tmp_path / "bosons40.json"
+        path.write_text(json.dumps(doc))
+        assert main(["classify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "bosonic(L=40, N=2)" in err and "1099511627776 x 41" in err
+
     def test_overflowing_norm_loads_as_scaled_state(self, tmp_path, capsys):
         records = []
         for scale in (1.0, 1e308):

@@ -9,7 +9,9 @@ from sloccflow.families import (
     dicke_families,
     fermion_pair_families,
 )
+from sloccflow.momentum import momentum, mu_star_matrix
 from sloccflow.morse import (
+    complement_hessian_spectrum,
     hessian_fd_oracle,
     hessian_to_csv,
     morse_index,
@@ -19,6 +21,7 @@ from sloccflow.morse import (
 from sloccflow.statespace import (
     LocalOperator,
     apply_local,
+    dicke,
     normalize,
 )
 
@@ -114,6 +117,35 @@ class TestMorseIndex:
         v = qubits([2, 0, 0, 0, 0, 0, 0, 1], 3)
         with pytest.raises(NotCritical):
             morse_index(v)
+
+
+def _dense_complement_spectrum(state):
+    """``2(eig(C^H M C) - lambda)`` with the dense momentum operator ``M``."""
+    state = normalize(state)
+    v = state.amplitudes
+    C = orbit_tangent_frame(state).complement_complex
+    M = mu_star_matrix(momentum(state), state.sector)
+    lam = float(np.vdot(v, M @ v).real)
+    compressed = C.conj().T @ M @ C
+    return 2.0 * (np.linalg.eigvalsh(0.5 * (compressed + compressed.conj().T)) - lam)
+
+
+class TestComplementSpectrum:
+    def test_matrix_free_matches_dense_operator(self, w3):
+        w4 = qubits([1 if bin(i).count("1") == 1 else 0 for i in range(16)], 4)
+        states = (
+            [w3, w4, bipartite_rank_state(4, 2)]
+            + [dicke(k, 6) for k in range(4)]
+            + [rec.state for rec in fermion_pair_families(4)]
+        )
+        assert {s.sector.kind for s in states} == {
+            "distinguishable", "bosonic", "fermionic"
+        }
+        for state in states:
+            expected = _dense_complement_spectrum(state)
+            got = complement_hessian_spectrum(state)
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected), initial=0.0) < 1e-12, state.sector
 
 
 class TestFdOracle:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -30,6 +31,50 @@ from sloccflow.statespace import (
 from conftest import haar_unitary, qubits, random_special_linear
 
 
+def _orderings(word: tuple[int, ...]):
+    """Distinct permutations of a word with repeated letters, each once."""
+    if not word:
+        yield ()
+    for letter in sorted(set(word)):
+        rest = list(word)
+        rest.remove(letter)
+        for tail in _orderings(tuple(rest)):
+            yield (letter,) + tail
+
+
+def _permutation_embedding(sector):
+    """Nonzero entries of the embedding, built by permuting each basis word.
+
+    A bosonic column spreads ``1/sqrt(#orderings)`` over the distinct
+    orderings of its occupation word; a fermionic column puts
+    ``sign(perm)/sqrt(L!)`` on every permutation of its subset.
+    """
+    L, N = sector.parties, sector.local_dim
+    radix = N ** np.arange(L - 1, -1, -1)
+    rows, cols, values = [], [], []
+    for col, label in enumerate(sector.basis_labels()):
+        if sector.kind == "bosonic":
+            word = tuple(letter for letter, n in enumerate(label) for _ in range(n))
+            perms = list(_orderings(word))
+            entries = [(perm, 1.0 / math.sqrt(len(perms))) for perm in perms]
+        else:
+            coeff = 1.0 / math.sqrt(math.factorial(L))
+            entries = [
+                (tuple(label[p] - 1 for p in perm), _sign(perm) * coeff)
+                for perm in itertools.permutations(range(L))
+            ]
+        for digits, value in entries:
+            rows.append(int(np.dot(digits, radix)))
+            cols.append(col)
+            values.append(value)
+    return rows, cols, np.array(values)
+
+
+def _sign(perm: tuple[int, ...]) -> int:
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+    return -1 if inversions % 2 else 1
+
+
 class TestSector:
     def test_dimensions(self):
         assert distinguishable(3, 2).dim == 8
@@ -48,6 +93,27 @@ class TestSector:
         )
         assert bosonic(3, 2).basis_labels() == ((3, 0), (2, 1), (1, 2), (0, 3))
         assert fermionic(2, 3).basis_labels() == ((1, 2), (1, 3), (2, 3))
+
+    def test_label_built_isometry_matches_permutation_construction(self):
+        # Every identical-particle sector with N >= 2 and N^L <= 4096; single
+        # particles (a permuted identity) only up to N = 64.
+        sectors = [
+            make(L, N)
+            for make in (bosonic, fermionic)
+            for N in range(2, 65)
+            for L in range(13)
+            if N**L <= 4096 and (L >= 1 if make is bosonic else L <= N)
+        ]
+        assert bosonic(10, 2) in sectors and fermionic(4, 6) in sectors
+        for sector in sectors:
+            labels = list(sector.basis_labels())
+            assert labels == sorted(labels, reverse=sector.kind == "bosonic")
+            # The builder itself, not its cache: the largest sectors are 100+ MB.
+            V = embedding_isometry.__wrapped__(sector)
+            rows, cols, values = _permutation_embedding(sector)
+            assert V.shape == (sector.local_dim**sector.parties, sector.dim)
+            assert np.count_nonzero(V) == len(values), sector
+            assert np.array_equal(V[rows, cols], values), sector
 
     def test_embeddings_are_isometries(self):
         for sector in (bosonic(3, 2), bosonic(2, 4), fermionic(2, 4), fermionic(3, 4)):
