@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -41,6 +41,7 @@ from .morse import (
     orbit_action_columns,
 )
 from .statespace import (
+    BOSONIC,
     DISTINGUISHABLE,
     PureState,
     Sector,
@@ -52,6 +53,9 @@ from .statespace import (
 D_NULLCONE_THRESHOLD = math.sqrt(ZERO_STRATUM_MU2)
 DEGENERACY_REL_GAP = 1e-9
 SELF_CONSISTENCY_ACCEPT = 1e-16
+# Largest distance of a block eigenvalue from the level ``||alpha||^2`` at
+# which NNLS still runs: about 1000x the slack of a feasible block.
+LEVEL_TOL = 1e-6
 
 
 class Stability(str, Enum):
@@ -115,22 +119,38 @@ def is_critical(state: PureState, tol: float = 1e-8) -> tuple[bool, float]:
     return float(np.linalg.norm(grad)) <= tol, lam
 
 
+@lru_cache(maxsize=None)
+def _ket_weights(sector: Sector) -> np.ndarray:
+    """Level populations: one row per (party, level), one column per basis ket.
+
+    Entry ``(p * N + j, k)`` counts the particles of ket ``k`` on level ``j``
+    of party ``p``; identical particles have the one party ``p = 0``.
+    """
+    labels = sector.basis_labels()
+    N = sector.local_dim
+    if sector.kind == BOSONIC:
+        counts = np.array(labels)
+    elif sector.kind == DISTINGUISHABLE:
+        digits = np.array(labels).reshape(len(labels), sector.parties)
+        counts = (digits[:, :, None] == np.arange(N)).reshape(len(labels), -1)
+    else:
+        subsets = np.array(labels, dtype=int).reshape(len(labels), sector.parties)
+        counts = np.zeros((len(labels), N))
+        counts[np.arange(len(labels))[:, None], subsets - 1] = 1.0
+    # Ket-major storage: each ket's populations of one party are contiguous.
+    weights = counts.astype(float).T
+    weights.setflags(write=False)
+    return weights
+
+
 def _alpha_diagonal_values(alpha: SpectrumPoint) -> np.ndarray:
     """Diagonal of the chamber operator over the canonical sector basis."""
-    sector = alpha.sector
-    labels = sector.basis_labels()
-    values = np.zeros(len(labels))
-    if sector.kind == DISTINGUISHABLE:
-        for i, digits in enumerate(labels):
-            values[i] = sum(alpha.spectra[p][d] for p, d in enumerate(digits))
-    elif sector.kind == "bosonic":
-        spectrum = alpha.spectra[0]
-        for i, occ in enumerate(labels):
-            values[i] = float(np.dot(occ, spectrum))
-    else:
-        spectrum = alpha.spectra[0]
-        for i, subset in enumerate(labels):
-            values[i] = sum(spectrum[s - 1] for s in subset)
+    weights = _ket_weights(alpha.sector)
+    N = alpha.sector.local_dim
+    values = np.zeros(weights.shape[1])
+    for p, spectrum in enumerate(alpha.spectra):
+        # One BLAS dot per ket, summed as ``np.dot(populations, spectrum)``.
+        values += (weights[p * N : (p + 1) * N].T[:, None, :] @ spectrum)[:, 0]
     return values
 
 
@@ -139,31 +159,23 @@ def alpha_star_eigenspaces(
 ) -> list[EigenspaceReport]:
     """Eigenvalue blocks of the diagonal chamber operator, with degeneracy grouping."""
     alpha.validate_weyl_chamber()
-    sector = alpha.sector
+    dim = alpha.sector.dim
     values = _alpha_diagonal_values(alpha)
     order = np.argsort(values)[::-1]
     scale = max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
-    gap = rel_gap * scale
+    ranked = values[order]
+    # A block ends where the next value in descending order is more than a
+    # gap away from the last one in the block.
+    ends = (np.flatnonzero(np.abs(np.diff(ranked)) > rel_gap * scale) + 1).tolist()
+    # Column c holds the basis ket order[c]; each block is a run of columns.
+    ranked_kets = np.zeros((dim, dim), dtype=complex)
+    ranked_kets[order, np.arange(dim)] = 1.0
     reports: list[EigenspaceReport] = []
-    block: list[int] = []
-    for idx in order:
-        if block and abs(values[idx] - values[block[-1]]) > gap:
-            reports.append(_block_report(alpha, values, block, sector))
-            block = []
-        block.append(int(idx))
-    if block:
-        reports.append(_block_report(alpha, values, block, sector))
+    for lo, hi in zip([0, *ends], [*ends, dim]):
+        # ``np.mean`` of the block: its sum over its size.
+        eig = float(np.add.reduce(ranked[lo:hi]) / (hi - lo))
+        reports.append(EigenspaceReport(alpha, eig, hi - lo, ranked_kets[:, lo:hi]))
     return reports
-
-
-def _block_report(
-    alpha: SpectrumPoint, values: np.ndarray, block: list[int], sector: Sector
-) -> EigenspaceReport:
-    basis = np.zeros((sector.dim, len(block)), dtype=complex)
-    for col, idx in enumerate(block):
-        basis[idx, col] = 1.0
-    eig = float(np.mean(values[block]))
-    return EigenspaceReport(alpha, eig, len(block), basis)
 
 
 def _alpha_targets(alpha: SpectrumPoint) -> list[np.ndarray]:
@@ -178,41 +190,30 @@ def _marginal_feasible(report: EigenspaceReport, tol: float = 1e-9) -> bool:
     Solves a nonnegative least-squares for a probability vector over the
     eigenspace's basis kets whose per-party level populations equal the
     target density diagonals; infeasibility rules the eigenspace out before
-    any sphere search.
+    any sphere search.  Every ket of the block has chamber value
+    ``c . A[:, k]`` equal to the block eigenvalue, where ``c`` stacks the
+    spectra (times ``L`` for identical particles), so a feasible block lies
+    at the level ``c . b = ||alpha||^2``; blocks off that level skip the
+    solve.
     """
     sector = report.alpha.sector
-    labels = sector.basis_labels()
-    kets = [labels[int(np.argmax(np.abs(report.basis[:, c])))] for c in range(report.multiplicity)]
-    N = sector.local_dim
-    L = sector.parties
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    if sector.kind == DISTINGUISHABLE:
-        for p in range(L):
-            for j in range(N):
-                rows.append(
-                    np.array([1.0 if ket[p] == j else 0.0 for ket in kets])
-                )
-                rhs.append(1.0 / N + report.alpha.spectra[p][j])
-    else:
-        for j in range(N):
-            if sector.kind == "bosonic":
-                weights = [ket[j] / L for ket in kets]
-            else:
-                weights = [(1.0 if (j + 1) in ket else 0.0) / L for ket in kets]
-            rows.append(np.array(weights))
-            rhs.append(1.0 / N + report.alpha.spectra[0][j])
-    rows.append(np.ones(len(kets)))
-    rhs.append(1.0)
-    A = np.stack(rows, axis=0)
-    b = np.array(rhs)
-    _, residual = nnls(A, b)
+    spectra = np.concatenate(report.alpha.spectra)
+    b = spectra + 1.0 / sector.local_dim
+    copies = sector.parties if sector.identical else 1
+    if abs(report.eigenvalue - copies * float(spectra @ b)) > LEVEL_TOL:
+        return False
+    kets = np.argmax(np.abs(report.basis), axis=0)
+    rows = _ket_weights(sector)[:, kets]
+    if sector.identical:
+        rows = rows / sector.parties
+    A = np.vstack([rows, np.ones(kets.size)])
+    _, residual = nnls(A, np.append(b, 1.0))
     return residual <= tol
 
 
 def _residual_matrices(state: PureState, targets: list[np.ndarray]) -> list[np.ndarray]:
     point = momentum(state)
-    return [m - (t - np.eye(t.shape[0]) / t.shape[0]) for m, t in zip(point.matrices, targets)]
+    return [m - t for m, t in zip(point.matrices, targets)]
 
 
 def _consistency_objective(state: PureState, targets: list[np.ndarray]) -> float:
@@ -234,12 +235,14 @@ def self_consistent_critical(
     the acceptance threshold are kept when they verify as critical with the
     requested spectrum.  An empty list is a valid outcome.
     """
+    if not _marginal_feasible(report):
+        return []
     sector = report.alpha.sector
     basis = report.basis
     m = report.multiplicity
-    targets = _alpha_targets(report.alpha)
-    if not _marginal_feasible(report):
-        return []
+    # The momentum image to reach, ``t - I/N`` per target density t.
+    shift = np.eye(sector.local_dim) / sector.local_dim
+    targets = [t - shift for t in _alpha_targets(report.alpha)]
 
     def lift(z: np.ndarray) -> PureState:
         return PureState(sector, basis @ z)
@@ -418,23 +421,21 @@ def qubit_weyl_grid(
     denominator at most ``max_denominator``, excluding the origin, filtered
     by the polygonal inequalities on the minimal eigenvalues.
     """
-    values = sorted(
-        {
-            Fraction(a, b)
-            for b in range(1, max_denominator + 1)
-            for a in range(0, b // 2 + 1)
-            if Fraction(a, b) <= Fraction(1, 2)
-        }
+    # Exact integer numerators over D = lcm(1..q): n / D is the grid value.
+    D = math.lcm(*range(1, max_denominator + 1))
+    numerators = sorted(
+        {a * (D // b) for b in range(1, max_denominator + 1) for a in range(b // 2 + 1)}
     )
     grid: list[tuple[float, ...]] = []
-    for combo in product(values, repeat=parties):
-        if all(v == 0 for v in combo):
+    for combo in product(numerators, repeat=parties):
+        if not any(combo):
             continue
-        minima = [Fraction(1, 2) - v for v in combo]
+        # D - 2n is 2D times the minimal eigenvalue 1/2 - n/D.
+        minima = [D - 2 * n for n in combo]
         total = sum(minima)
-        if any(p > total - p for p in minima):
+        if any(m > total - m for m in minima):
             continue
-        grid.append(tuple(float(v) for v in combo))
+        grid.append(tuple(n / D for n in combo))
     return grid
 
 

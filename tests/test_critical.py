@@ -1,11 +1,18 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
+from sloccflow import critical
 from sloccflow.canonical import gabcd
 from sloccflow.critical import (
+    LEVEL_TOL,
     Stability,
+    _alpha_diagonal_values,
+    _marginal_feasible,
     alpha_star_eigenspaces,
     classify,
     is_critical,
@@ -16,12 +23,14 @@ from sloccflow.critical import (
     stability_class,
 )
 from sloccflow.errors import NotInWeylChamber
+from sloccflow.families import scan_qubit_families
 from sloccflow.momentum import SpectrumPoint, psi
 from sloccflow.statespace import (
     LocalOperator,
     apply_local,
     bosonic,
     distinguishable,
+    fermionic,
     random_state,
 )
 
@@ -270,3 +279,186 @@ class TestWeylGrid:
         # p = (0, 1/2, 1/2) violates the polygonal inequality at party 1.
         assert (0.5, 0.5, 0.0) not in grid
         assert all(any(v > 0 for v in combo) for combo in grid)
+
+    def test_integer_grid_matches_fraction_construction(self):
+        for parties, top in ((1, 12), (2, 12), (3, 12), (4, 6)):
+            for q in range(1, top + 1):
+                assert qubit_weyl_grid(parties, q) == _fraction_weyl_grid(parties, q)
+
+
+def _fraction_weyl_grid(parties: int, max_denominator: int) -> list[tuple[float, ...]]:
+    """The grid built in exact Fractions, as the scan first computed it."""
+    values = sorted(
+        {
+            Fraction(a, b)
+            for b in range(1, max_denominator + 1)
+            for a in range(0, b // 2 + 1)
+            if Fraction(a, b) <= Fraction(1, 2)
+        }
+    )
+    grid = []
+    for combo in itertools.product(values, repeat=parties):
+        if all(v == 0 for v in combo):
+            continue
+        minima = [Fraction(1, 2) - v for v in combo]
+        total = sum(minima)
+        if any(p > total - p for p in minima):
+            continue
+        grid.append(tuple(float(v) for v in combo))
+    return grid
+
+
+def _label_loop_values(alpha: SpectrumPoint) -> np.ndarray:
+    """Chamber-operator diagonal summed ket by ket over the basis labels."""
+    sector = alpha.sector
+    labels = sector.basis_labels()
+    values = np.zeros(len(labels))
+    if sector.kind == "distinguishable":
+        for i, digits in enumerate(labels):
+            values[i] = sum(alpha.spectra[p][d] for p, d in enumerate(digits))
+    elif sector.kind == "bosonic":
+        for i, occ in enumerate(labels):
+            values[i] = float(np.dot(occ, alpha.spectra[0]))
+    else:
+        for i, subset in enumerate(labels):
+            values[i] = sum(alpha.spectra[0][s - 1] for s in subset)
+    return values
+
+
+def _chain_split_blocks(alpha: SpectrumPoint, rel_gap: float = 1e-9):
+    """(eigenvalue, basis) per block: a ket joins the block while it is within
+    the gap of the block's last ket in descending order."""
+    values = _label_loop_values(alpha)
+    order = np.argsort(values)[::-1]
+    gap = rel_gap * max(1.0, float(np.max(np.abs(values))))
+    blocks: list[list[int]] = []
+    for idx in order:
+        if blocks and abs(values[idx] - values[blocks[-1][-1]]) <= gap:
+            blocks[-1].append(int(idx))
+        else:
+            blocks.append([int(idx)])
+    out = []
+    for block in blocks:
+        basis = np.zeros((alpha.sector.dim, len(block)), dtype=complex)
+        for col, idx in enumerate(block):
+            basis[idx, col] = 1.0
+        out.append((float(np.mean(values[block])), basis))
+    return out
+
+
+def _label_loop_feasible(report, tol: float = 1e-9) -> bool:
+    """NNLS feasibility with its rows built label by label, on every block."""
+    sector = report.alpha.sector
+    labels = sector.basis_labels()
+    kets = [
+        labels[int(np.argmax(np.abs(report.basis[:, c])))]
+        for c in range(report.multiplicity)
+    ]
+    N, L = sector.local_dim, sector.parties
+    rows, rhs = [], []
+    if sector.kind == "distinguishable":
+        for p in range(L):
+            for j in range(N):
+                rows.append(np.array([1.0 if ket[p] == j else 0.0 for ket in kets]))
+                rhs.append(1.0 / N + report.alpha.spectra[p][j])
+    else:
+        for j in range(N):
+            if sector.kind == "bosonic":
+                weights = [ket[j] / L for ket in kets]
+            else:
+                weights = [(1.0 if (j + 1) in ket else 0.0) / L for ket in kets]
+            rows.append(np.array(weights))
+            rhs.append(1.0 / N + report.alpha.spectra[0][j])
+    rows.append(np.ones(len(kets)))
+    rhs.append(1.0)
+    _, residual = nnls(np.stack(rows), np.array(rhs))
+    return residual <= tol
+
+
+def _chamber_points(sector, max_denominator: int):
+    """Chamber points whose shifted spectra have entries n/M, M <= max_denominator."""
+    N = sector.local_dim
+    spectra = set()
+    for M in range(1, max_denominator + 1):
+        for parts in itertools.combinations_with_replacement(range(M + 1), N):
+            if sum(parts) == M:
+                spectra.add(tuple(n / M - 1.0 / N for n in reversed(parts)))
+    copies = 1 if sector.identical else sector.parties
+    for combo in itertools.product(sorted(spectra), repeat=copies):
+        yield SpectrumPoint(sector, tuple(np.array(s) for s in combo))
+
+
+def _sample_alphas():
+    three_qubits = distinguishable(3, 2)
+    for lambdas in qubit_weyl_grid(3, 6):
+        yield qubit_spectrum_point(three_qubits, lambdas)
+    for sector in (bosonic(5, 2), bosonic(3, 3), fermionic(2, 4), fermionic(3, 6)):
+        yield from _chamber_points(sector, 12)
+    yield from _chamber_points(distinguishable(2, 3), 6)
+
+
+class TestChamberBlocks:
+    """Block data from the cached ket weights against the label loops."""
+
+    def test_diagonal_values_match_label_loop_exactly(self):
+        kinds = set()
+        for alpha in _sample_alphas():
+            kinds.add(alpha.sector.kind)
+            got = _alpha_diagonal_values(alpha)
+            assert got.tobytes() == _label_loop_values(alpha).tobytes()
+        assert kinds == {"distinguishable", "bosonic", "fermionic"}
+
+    def test_blocks_match_chain_split_exactly(self):
+        for alpha in _sample_alphas():
+            reports = alpha_star_eigenspaces(alpha)
+            expected = _chain_split_blocks(alpha)
+            assert len(reports) == len(expected)
+            for report, (eig, basis) in zip(reports, expected):
+                assert np.float64(report.eigenvalue).tobytes() == np.float64(eig).tobytes()
+                assert report.multiplicity == basis.shape[1]
+                assert np.array_equal(report.basis, basis)
+
+    def test_feasibility_matches_label_loop(self):
+        off_level = feasible = 0
+        at_level_infeasible = set()
+        for alpha in _sample_alphas():
+            level = sum(float(np.sum(s * s)) for s in alpha.spectra)
+            if alpha.sector.identical:
+                level *= alpha.sector.parties
+            for report in alpha_star_eigenspaces(alpha):
+                verdict = _label_loop_feasible(report)
+                assert _marginal_feasible(report) == verdict
+                if abs(report.eigenvalue - level) > LEVEL_TOL:
+                    off_level += 1
+                    assert not verdict
+                elif verdict:
+                    feasible += 1
+                else:
+                    at_level_infeasible.add(alpha.sector.kind)
+        # Both the level check and the NNLS verdict decide some blocks.
+        assert off_level > 0 and feasible > 0
+        assert at_level_infeasible == {"distinguishable", "bosonic", "fermionic"}
+
+    def test_nnls_runs_only_on_blocks_at_the_level(self, monkeypatch):
+        calls = []
+        solve = critical.nnls
+
+        def counting_nnls(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(critical, "nnls", counting_nnls)
+        scan_qubit_families(3, 6)
+        at_level = blocks = 0
+        for lambdas in qubit_weyl_grid(3, 6):
+            level = 2.0 * sum(lam * lam for lam in lambdas)
+            # Distinct ket values sum_p (+-lambda_p); each is one block.
+            values = {
+                round(sum(-lam if bit else lam for bit, lam in zip(bits, lambdas)), 9)
+                for bits in itertools.product((0, 1), repeat=3)
+            }
+            blocks += len(values)
+            at_level += sum(abs(v - level) <= 1e-6 for v in values)
+        assert 0 < len(calls) == at_level
+        # 11 of 954 blocks at this denominator (29 of 50 900 at 12).
+        assert len(calls) < 0.02 * blocks
