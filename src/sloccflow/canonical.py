@@ -122,7 +122,7 @@ def takagi(matrix: np.ndarray, tol: float = SYMMETRY_TOL) -> tuple[np.ndarray, n
         columns.append(frame @ u)
         values.append(top)
         # Deflate: the conjugated bilinear form restricted to u's complement.
-        Q = _orthonormal_complement(u)
+        Q = _orthonormal_complement_many(u[:, None])
         work = Q.conj().T @ work @ Q.conj()
         frame = frame @ Q
     S = np.stack(columns, axis=1)
@@ -136,14 +136,6 @@ def takagi(matrix: np.ndarray, tol: float = SYMMETRY_TOL) -> tuple[np.ndarray, n
     phases = np.where(np.abs(diag) > 1e-14, np.exp(-0.5j * np.angle(diag)), 1.0)
     U = phases[:, None] * U
     return U, a
-
-
-def _orthonormal_complement(u: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the complement of a unit vector, as columns."""
-    n = u.shape[0]
-    full = np.eye(n, dtype=complex) - np.outer(u, u.conj())
-    Q, _, _ = np.linalg.svd(full)
-    return Q[:, : n - 1]
 
 
 def antisym_canonical(
@@ -200,6 +192,7 @@ def antisym_canonical(
 
 
 def _orthonormal_complement_many(cols: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the complement of orthonormal columns, as columns."""
     n, k = cols.shape
     full = np.eye(n, dtype=complex) - cols @ cols.conj().T
     Q, s, _ = np.linalg.svd(full)

@@ -297,13 +297,8 @@ def _unit(z: np.ndarray) -> np.ndarray:
 
 def _alpha_blocks(spectrum: np.ndarray, gap: float = 1e-9) -> list[np.ndarray]:
     """Index groups of (numerically) equal entries of a sorted spectrum."""
-    blocks: list[list[int]] = [[0]]
-    for i in range(1, spectrum.shape[0]):
-        if abs(spectrum[i] - spectrum[blocks[-1][-1]]) <= gap:
-            blocks[-1].append(i)
-        else:
-            blocks.append([i])
-    return [np.array(b) for b in blocks]
+    ends = np.flatnonzero(np.abs(np.diff(spectrum)) > gap) + 1
+    return np.split(np.arange(spectrum.shape[0]), ends)
 
 
 def _same_critical_class(

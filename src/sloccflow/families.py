@@ -199,17 +199,6 @@ def scan_qubit_families(
     return QubitScanResult(families, zero_family, len(grid), max_multiplicity)
 
 
-def qubit_degeneracy_bound(parties: int, max_denominator: int = 12) -> int:
-    """Largest chamber-operator eigenspace multiplicity over the nonzero grid."""
-    sector = distinguishable(parties, 2)
-    worst = 0
-    for lambdas in qubit_weyl_grid(parties, max_denominator):
-        alpha = qubit_spectrum_point(sector, lambdas)
-        for report in alpha_star_eigenspaces(alpha):
-            worst = max(worst, report.multiplicity)
-    return worst
-
-
 def ghz_state(parties: int) -> PureState:
     sector = distinguishable(parties, 2)
     amps = np.zeros(sector.dim, dtype=complex)

@@ -26,6 +26,7 @@ from .statespace import (
     PureState,
     Sector,
     _apply_on_axis,
+    _axis_matrices,
     _embed,
     _frozen,
     _matricize,
@@ -197,35 +198,17 @@ def momentum(state: PureState) -> MomentumPoint:
     return MomentumPoint(sector, tuple(_shifted_densities(state.to_tensor(), count)))
 
 
-def _per_party_matrices(
-    point: MomentumPoint | SpectrumPoint | list[np.ndarray], sector: Sector
-) -> list[np.ndarray]:
-    if isinstance(point, MomentumPoint):
-        mats = point.coadjoint_matrices()
-    elif isinstance(point, SpectrumPoint):
-        mats = point.as_diagonal_matrices()
-    else:
-        mats = [np.asarray(m, dtype=complex) for m in point]
-    L, N = sector.parties, sector.local_dim
-    if sector.identical:
-        if len(mats) != 1:
-            raise ShapeMismatch("identical particles take a single matrix")
-        mats = mats * L
-    elif len(mats) != L:
-        raise ShapeMismatch(f"need one matrix per party, got {len(mats)}")
-    for m in mats:
-        if m.shape != (N, N):
-            raise ShapeMismatch(f"matrix shape {m.shape} does not match N={N}")
-    return mats
-
-
 def _mu_star(
     point: MomentumPoint | SpectrumPoint | list[np.ndarray],
     sector: Sector,
     x: np.ndarray,
 ) -> np.ndarray:
     """One-body sum of ``point`` on sector amplitudes ``x`` (batch axis kept)."""
-    mats = _per_party_matrices(point, sector)
+    if isinstance(point, MomentumPoint):
+        point = point.coadjoint_matrices()
+    elif isinstance(point, SpectrumPoint):
+        point = point.as_diagonal_matrices()
+    mats = _axis_matrices(sector, point)
     return _project(sector, _one_body(mats, _embed(sector, x)))
 
 
@@ -253,12 +236,6 @@ def mu_norm_sq(state: PureState) -> float:
 
 
 @lru_cache(maxsize=None)
-def _frame_square_sum(local_dim: int) -> np.ndarray:
-    frame = gell_mann_frame(local_dim)
-    return _frozen(np.einsum("aij,ajk->ik", frame, frame))
-
-
-@lru_cache(maxsize=None)
 def represented_generators(sector: Sector) -> np.ndarray:
     """Local observable frame represented on the sector basis.
 
@@ -277,24 +254,35 @@ def represented_generators(sector: Sector) -> np.ndarray:
     ])
 
 
-def _frame_moments(state: PureState) -> tuple[float, float]:
-    """``sum_i <X_i^2>`` and ``sum_i <X_i>^2`` over the local observable frame."""
-    sector = state.sector
-    v = state.amplitudes
-    squares = means = 0.0
-    if sector.identical:
-        for g in represented_generators(sector)[0]:
-            gv = g @ v
-            squares += float(np.vdot(gv, gv).real)
-            means += float(np.vdot(v, gv).real) ** 2
-        return squares, means
+def _generator_columns(sector: Sector, x: np.ndarray) -> np.ndarray:
+    """``X x`` for every represented frame generator ``X``, one column each.
+
+    Columns follow ``represented_generators``: each party's generators in turn
+    for distinguishable particles, the diagonal action of each generator for
+    identical ones.
+    """
+    tensor = _embed(sector, x)
     frame = gell_mann_frame(sector.local_dim)
-    square_sum = _frame_square_sum(sector.local_dim)
-    for p in range(sector.parties):
-        rho = reduced_density(state, p)
-        squares += float(np.trace(rho @ square_sum).real)
-        for xi in frame:
-            means += float(np.trace(rho @ xi).real) ** 2
+    if sector.identical:
+        parts = [_one_body(_axis_matrices(sector, [xi]), tensor) for xi in frame]
+    else:
+        parts = [_apply_on_axis(xi, tensor, p) for p in range(sector.parties) for xi in frame]
+    return _project(sector, np.stack(parts, axis=-1))
+
+
+def _frame_moments(state: PureState) -> tuple[float, float]:
+    """``sum_i <X_i^2>`` and ``sum_i <X_i>^2`` over the local observable frame.
+
+    Both come from the columns ``X_i v``: ``<X_i^2> = ||X_i v||^2 / ||v||^2``
+    and ``<X_i> = Re <v|X_i v> / ||v||^2``.
+    """
+    v = state.amplitudes
+    norm_sq = float(np.vdot(v, v).real)
+    if norm_sq <= 0.0:
+        raise ShapeMismatch("cannot reduce a zero state")
+    cols = _generator_columns(state.sector, v)
+    squares = float(np.vdot(cols, cols).real) / norm_sq
+    means = float(np.sum((v.conj() @ cols).real ** 2)) / norm_sq**2
     return squares, means
 
 

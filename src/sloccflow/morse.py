@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import NotCritical
 from .flow import ZERO_STRATUM_MU2, gradient_norm
-from .momentum import _mu_star, _one_body, gell_mann_frame, momentum, mu_star_matrix
-from .statespace import PureState, _apply_on_axis, _embed, _project, normalize
+from .momentum import _generator_columns, _mu_star, momentum, mu_star_matrix
+from .statespace import PureState, normalize
 
 # Frames are built at flow terminals, where residual unstable-direction
 # seeds sit at the gradient-tolerance scale (~1e-9); the cut must sit above
@@ -35,17 +35,9 @@ def orbit_action_columns(state: PureState) -> np.ndarray:
     the complex column span is the full orbit tangent because the acting
     algebra is closed under multiplication by ``i``.
     """
-    sector = state.sector
-    L, v = sector.parties, state.amplitudes
-    tensor = _embed(sector, v)
-    frame = gell_mann_frame(sector.local_dim)
-    if sector.identical:
-        parts = [_one_body([xi] * L, tensor) for xi in frame]
-    else:
-        parts = [_apply_on_axis(xi, tensor, p) for p in range(L) for xi in frame]
-    cols = _project(sector, np.stack(parts, axis=-1))
-    overlaps = v.conj() @ cols
-    return cols - np.outer(v, overlaps)
+    v = state.amplitudes
+    cols = _generator_columns(state.sector, v)
+    return cols - np.outer(v, v.conj() @ cols)
 
 
 @dataclass(frozen=True)

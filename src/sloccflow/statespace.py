@@ -288,6 +288,26 @@ def _apply_on_axis(mat: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
     return out.reshape(n, math.prod(x.shape[:p]), -1).transpose(1, 0, 2).reshape(x.shape)
 
 
+def _axis_matrices(sector: Sector, mats: list[np.ndarray]) -> list[np.ndarray]:
+    """One validated ``N x N`` matrix per axis of the sector's tensor.
+
+    Distinguishable parties take one matrix each; identical particles take a
+    single matrix, which acts on every axis (the diagonal action).
+    """
+    L, N = sector.parties, sector.local_dim
+    mats = [np.asarray(m, dtype=complex) for m in mats]
+    if sector.identical:
+        if len(mats) != 1:
+            raise ShapeMismatch("identical particles take a single matrix")
+        mats = mats * L
+    elif len(mats) != L:
+        raise ShapeMismatch(f"need one matrix per party, got {len(mats)}")
+    for m in mats:
+        if m.shape != (N, N):
+            raise ShapeMismatch(f"matrix shape {m.shape} does not match N={N}")
+    return mats
+
+
 def apply_local(ops: list[LocalOperator] | LocalOperator, state: PureState) -> PureState:
     """Act with local operators: one per party, or one applied diagonally.
 
@@ -298,26 +318,12 @@ def apply_local(ops: list[LocalOperator] | LocalOperator, state: PureState) -> P
     if isinstance(ops, LocalOperator):
         ops = [ops]
     sector = state.sector
-    L, N = sector.parties, sector.local_dim
-    for op in ops:
-        if op.matrix.shape != (N, N):
-            raise ShapeMismatch(
-                f"operator shape {op.matrix.shape} does not match local dim {N}"
-            )
-    if sector.identical:
-        if len(ops) != 1:
-            raise ShapeMismatch(
-                "identical particles take exactly one diagonal operator"
-            )
-        matrices = [ops[0].matrix] * L
-    else:
-        if len(ops) != L or sorted(op.party for op in ops) != list(range(L)):
-            raise ShapeMismatch(
-                f"need exactly one operator per party 0..{L - 1}"
-            )
-        matrices = [op.matrix for op in sorted(ops, key=lambda o: o.party)]
+    L = sector.parties
+    if not sector.identical and sorted(op.party for op in ops) != list(range(L)):
+        raise ShapeMismatch(f"need exactly one operator per party 0..{L - 1}")
+    mats = _axis_matrices(sector, [op.matrix for op in sorted(ops, key=lambda o: o.party)])
     out = state.to_tensor()
-    for p, mat in enumerate(matrices):
+    for p, mat in enumerate(mats):
         out = _apply_on_axis(mat, out, p)
     return state_from_tensor(sector, out)
 

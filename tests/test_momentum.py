@@ -4,6 +4,7 @@ import pytest
 from sloccflow.errors import NotInWeylChamber, NotQubitSector, ShapeMismatch
 from sloccflow.momentum import (
     SpectrumPoint,
+    _generator_columns,
     casimir_constant,
     casimir_vee_expectation,
     gell_mann_frame,
@@ -107,7 +108,9 @@ class TestMomentum:
     @pytest.mark.parametrize("sector", SECTORS, ids=str)
     def test_zero_state_raises(self, sector):
         zero = PureState(sector, np.zeros(sector.dim))
-        for f in (momentum, mu_norm_sq, psi, reduced_density):
+        for f in (
+            momentum, mu_norm_sq, psi, reduced_density, total_variance, casimir_vee_expectation
+        ):
             with pytest.raises(ShapeMismatch):
                 f(zero)
 
@@ -182,17 +185,27 @@ class TestNormAndVariance:
 
     def test_variance_matches_represented_frame(self, rng):
         # Independent route: expectation values of the embedded generators
-        # computed as dense matrices, for a distinguishable sector.
-        sector = distinguishable(2, 3)
-        v = random_state(sector, rng)
-        gens = represented_generators(sector)
-        var = 0.0
-        for p in range(sector.parties):
-            for g in gens[p]:
-                gv = g @ v.amplitudes
-                var += float(np.vdot(gv, gv).real)
-                var -= float(np.vdot(v.amplitudes, gv).real) ** 2
-        assert abs(var - total_variance(v)) < 1e-10
+        # computed as dense matrices; the columns X v follow their order.
+        for sector in SECTORS:
+            v = random_state(sector, rng)
+            gens = represented_generators(sector)
+            cols = _generator_columns(sector, v.amplitudes)
+            assert cols.shape == (sector.dim, gens.shape[0] * gens.shape[1])
+            var = 0.0
+            for p in range(gens.shape[0]):
+                for i, g in enumerate(gens[p]):
+                    gv = g @ v.amplitudes
+                    assert np.max(np.abs(cols[:, p * gens.shape[1] + i] - gv)) < 1e-12
+                    var += float(np.vdot(gv, gv).real)
+                    var -= float(np.vdot(v.amplitudes, gv).real) ** 2
+            assert abs(var - total_variance(v)) < 1e-10
+
+    def test_moments_invariant_under_scaling(self, rng):
+        for sector in SECTORS:
+            v = random_state(sector, rng)
+            scaled = PureState(sector, 3.0 * v.amplitudes)
+            assert abs(total_variance(scaled) - total_variance(v)) < 1e-10
+            assert abs(casimir_vee_expectation(scaled) - casimir_vee_expectation(v)) < 1e-10
 
     def test_casimir_constants(self):
         assert abs(casimir_constant(distinguishable(4, 2)) - 6.0) < 1e-14

@@ -11,6 +11,7 @@ from sloccflow.errors import (
     ShapeMismatch,
     ZeroState,
 )
+from sloccflow.momentum import mu_star_apply
 from sloccflow.statespace import (
     LocalOperator,
     PureState,
@@ -229,6 +230,17 @@ class TestApplyLocal:
             apply_local([LocalOperator(0, np.eye(2))], v)
         with pytest.raises(ShapeMismatch):
             apply_local([LocalOperator(0, np.eye(3)), LocalOperator(1, np.eye(3))], v)
+        for sector in (bosonic(3, 2), fermionic(2, 4)):
+            v = random_state(sector, rng)
+            N = sector.local_dim
+            with pytest.raises(ShapeMismatch):
+                apply_local([LocalOperator(0, np.eye(N)), LocalOperator(1, np.eye(N))], v)
+            with pytest.raises(ShapeMismatch):
+                apply_local(LocalOperator(0, np.eye(N + 1)), v)
+            with pytest.raises(ShapeMismatch):
+                mu_star_apply([np.eye(N), np.eye(N)], v)
+            with pytest.raises(ShapeMismatch):
+                mu_star_apply([np.eye(N + 1)], v)
 
 
 class TestDicke:
