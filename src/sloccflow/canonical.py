@@ -17,16 +17,15 @@ from .errors import (
     NotAntisymmetric,
     NotSymmetric,
     SectorMismatch,
+    ShapeMismatch,
     UnknownFamily,
     ZeroState,
 )
 from .statespace import (
     DISTINGUISHABLE,
-    LocalOperator,
     PureState,
     _apply_on_axis,
     _frozen,
-    apply_local,
     distinguishable,
     normalize,
 )
@@ -199,58 +198,9 @@ def _orthonormal_complement_many(cols: np.ndarray) -> np.ndarray:
     return Q[:, : n - k]
 
 
-def _su2(params: np.ndarray) -> np.ndarray:
-    """SU(2) element from three real rotation parameters."""
-    x, y, z = params
-    theta = math.sqrt(x * x + y * y + z * z)
-    if theta < 1e-300:
-        return np.eye(2, dtype=complex)
-    nx, ny, nz = x / theta, y / theta, z / theta
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array(
-        [
-            [c + 1j * s * nz, s * (1j * nx + ny)],
-            [s * (1j * nx - ny), c - 1j * s * nz],
-        ],
-        dtype=complex,
-    )
-
-
-_PAULI = np.array(
-    [
-        [[0.0, 1.0], [1.0, 0.0]],
-        [[0.0, -1j], [1j, 0.0]],
-        [[1.0, 0.0], [0.0, -1.0]],
-    ],
-    dtype=complex,
-)
-
-_ACIN_TARGETS = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
-
-
-def _rotated(unitaries: list[np.ndarray], tensor: np.ndarray) -> tuple[np.ndarray, float]:
-    """The tensor under one unitary per qubit, and its targeted mass."""
-    out = tensor
-    for p, u in enumerate(unitaries):
-        out = _apply_on_axis(u, out, p)
-    return out, float(sum(abs(out[t]) ** 2 for t in _ACIN_TARGETS))
-
-
-def _acin_gradient(out: np.ndarray) -> np.ndarray:
-    """Riemannian gradient over the nine local rotation directions.
-
-    Entry ``(p, a)``: derivative of the targeted mass under
-    ``U_p <- exp(i eps sigma_a) U_p``.
-    """
-    proj = np.zeros_like(out)
-    for t in _ACIN_TARGETS:
-        proj[t] = out[t]
-    grad = np.zeros((3, 3))
-    for p in range(3):
-        for a in range(3):
-            moved = _apply_on_axis(_PAULI[a], out, p)
-            grad[p, a] = 2.0 * float(np.real(1j * np.vdot(proj, moved)))
-    return grad
+def _row_unitary(a: np.ndarray) -> np.ndarray:
+    """The SU(2) matrix whose first row is ``a^H`` for a unit vector ``a``."""
+    return np.array([[a[0].conjugate(), a[1].conjugate()], [-a[1], a[0]]])
 
 
 def acin_form(
@@ -262,59 +212,52 @@ def acin_form(
 ) -> AcinForm:
     """Three-qubit normal form with entries 001, 010, 100 driven to zero.
 
-    Implemented as gradient descent on the product of local special
-    unitaries (backtracking step, random restarts) minimizing the targeted
-    squared magnitudes; the remaining entries 011, 101, 110, 111 are made
-    real nonnegative by diagonal phase freedom.  The form is not unique in
-    general; the first minimum found is returned.
+    A state is in this form exactly when ``|000>`` is a stationary point of
+    the product overlap ``|<a b c|v>|`` (Carteret, Higuchi & Sudbery 2000).
+    Alternating maximisation of the overlap (the higher-order power method)
+    reaches one: each sweep sets every ``a_p`` in turn to the normalized
+    contraction of the tensor with the other two conjugated vectors, and
+    ``U_p`` is the SU(2) matrix whose first row is ``a_p^H``.  The first
+    start is the computational basis, later ones are random; a start
+    succeeds once the weight-one entries of the rotated state have norm at
+    most ``residual_target``.  The remaining entries 011, 101, 110, 111 are
+    made real nonnegative by diagonal phase freedom.  The form is not unique
+    in general; the first one reached is returned.
     """
     sector = state.sector
     if sector.kind != DISTINGUISHABLE or sector.parties != 3 or sector.local_dim != 2:
         raise SectorMismatch("acin_form requires three distinguishable qubits")
     tensor = normalize(state).to_tensor()
     rng = np.random.default_rng(seed)
-    target_value = residual_target**2
-    best: tuple[float, list[np.ndarray]] | None = None
+    lowest = math.inf
     for attempt in range(restarts):
         if attempt == 0:
-            unitaries = [np.eye(2, dtype=complex) for _ in range(3)]
+            vectors = [np.array([1.0, 0.0], dtype=complex) for _ in range(3)]
         else:
-            unitaries = [_su2(rng.uniform(-math.pi, math.pi, size=3)) for _ in range(3)]
-        out, value = _rotated(unitaries, tensor)
-        step = 0.25
+            draws = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+            vectors = [d / np.linalg.norm(d) for d in draws]
         for _ in range(max_iterations):
-            if value <= target_value:
+            for p in range(3):
+                q1, q2 = (q for q in range(3) if q != p)
+                c = np.einsum(
+                    tensor, [0, 1, 2], vectors[q1].conj(), [q1], vectors[q2].conj(), [q2], [p]
+                )
+                norm = np.linalg.norm(c)
+                if norm > 0.0:
+                    vectors[p] = c / norm
+            unitaries = [_row_unitary(a) for a in vectors]
+            out = tensor
+            for p, u in enumerate(unitaries):
+                out = _apply_on_axis(u, out, p)
+            residual = float(np.linalg.norm([out[0, 0, 1], out[0, 1, 0], out[1, 0, 0]]))
+            lowest = min(lowest, residual)
+            if residual <= residual_target:
                 break
-            grad = _acin_gradient(out)
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm < 1e-14:
-                break
-            while step > 1e-14:
-                trial = [
-                    _su2(-step * grad[p]) @ unitaries[p] for p in range(3)
-                ]
-                trial_out, trial_value = _rotated(trial, tensor)
-                if trial_value < value:
-                    unitaries, out, value = trial, trial_out, trial_value
-                    step = min(step * 1.5, 2.0)
-                    break
-                step *= 0.5
-            else:
-                break
-        if best is None or value < best[0]:
-            best = (value, unitaries)
-        if best[0] <= target_value:
+        if lowest <= residual_target:
             break
-    assert best is not None
-    if best[0] > target_value:
-        raise ConvergenceFailure(
-            f"normal-form reduction stalled at residual {math.sqrt(best[0]):.3e}"
-        )
-    unitaries = best[1]
-    reduced = apply_local(
-        [LocalOperator(p, u) for p, u in enumerate(unitaries)], normalize(state)
-    )
-    amps = reduced.amplitudes
+    else:
+        raise ConvergenceFailure(f"normal-form reduction stalled at residual {lowest:.3e}")
+    amps = out.reshape(-1)
     phased, phases = _fix_acin_phases(amps)
     unitaries = [
         np.diag([np.exp(1j * a), np.exp(-1j * a)]) @ u
@@ -389,7 +332,7 @@ def gabcd(alpha: np.ndarray) -> PureState:
     """Normalized combination of the four paired-ket generators; momentum zero."""
     coeffs = np.asarray(alpha, dtype=complex).reshape(-1)
     if coeffs.shape[0] != 4:
-        raise ZeroState("gabcd takes four complex coefficients")
+        raise ShapeMismatch("gabcd takes four complex coefficients")
     if np.max(np.abs(coeffs)) == 0.0:
         raise ZeroState("gabcd coefficients are all zero")
     amps = np.zeros(16, dtype=complex)

@@ -178,12 +178,6 @@ def alpha_star_eigenspaces(
     return reports
 
 
-def _alpha_targets(alpha: SpectrumPoint) -> list[np.ndarray]:
-    """Target reduced densities ``diag(alpha_p) + I/N``."""
-    N = alpha.sector.local_dim
-    return [np.diag(s) + np.eye(N) / N for s in alpha.spectra]
-
-
 def _marginal_feasible(report: EigenspaceReport, tol: float = 1e-9) -> bool:
     """Necessary condition: basis weights reproducing the diagonal marginals.
 
@@ -240,9 +234,8 @@ def self_consistent_critical(
     sector = report.alpha.sector
     basis = report.basis
     m = report.multiplicity
-    # The momentum image to reach, ``t - I/N`` per target density t.
-    shift = np.eye(sector.local_dim) / sector.local_dim
-    targets = [t - shift for t in _alpha_targets(report.alpha)]
+    # The momentum image to reach: ``diag(alpha_p)`` for each party.
+    targets = report.alpha.as_diagonal_matrices()
 
     def lift(z: np.ndarray) -> PureState:
         return PureState(sector, basis @ z)

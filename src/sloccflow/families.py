@@ -197,18 +197,3 @@ def scan_qubit_families(
         )
     families = sorted(found.values(), key=lambda r: (r.d_value, r.label))
     return QubitScanResult(families, zero_family, len(grid), max_multiplicity)
-
-
-def ghz_state(parties: int) -> PureState:
-    sector = distinguishable(parties, 2)
-    amps = np.zeros(sector.dim, dtype=complex)
-    amps[0] = amps[-1] = 1.0
-    return normalize(PureState(sector, amps))
-
-
-def w_state(parties: int) -> PureState:
-    sector = distinguishable(parties, 2)
-    amps = np.zeros(sector.dim, dtype=complex)
-    for p in range(parties):
-        amps[1 << p] = 1.0
-    return normalize(PureState(sector, amps))

@@ -55,8 +55,8 @@ class FlowConfig:
     record_every: int = 100
 
     def __post_init__(self):
-        if self.step_size <= 0 or self.tolerance <= 0:
-            raise ValueError("step_size and tolerance must be positive")
+        if not (0 < self.step_size < math.inf and 0 < self.tolerance < math.inf):
+            raise ValueError("step_size and tolerance must be positive and finite")
         if self.max_iterations < 1 or self.record_every < 1:
             raise ValueError("max_iterations and record_every must be positive")
 

@@ -15,9 +15,11 @@ from sloccflow.canonical import (
     takagi,
 )
 from sloccflow.errors import (
+    ConvergenceFailure,
     NotAntisymmetric,
     NotSymmetric,
     SectorMismatch,
+    ShapeMismatch,
     UnknownFamily,
     ZeroState,
 )
@@ -180,6 +182,33 @@ class TestAcinForm:
         with pytest.raises(SectorMismatch):
             acin_form(bell)
 
+    @pytest.mark.parametrize(
+        "amps",
+        [
+            [0, 1, 1, 0, 1, 0, 0, 0],  # W
+            [0, 0, 0, 1, 0, 1, 1, 0],  # |011> + |101> + |110>
+            [0, 0, 0, 0, 0, 0, 0, 1],  # |111>
+            [1, 0, 0, 1, 0, 0, 0, 0],  # |0> (x) Bell
+        ],
+        ids=["w", "weight-two", "111", "zero-bell"],
+    )
+    def test_special_states_reduced(self, amps):
+        v = qubits(amps, 3)
+        form = acin_form(v)
+        out = apply_local(
+            [LocalOperator(p, u) for p, u in enumerate(form.unitaries)], v
+        ).amplitudes
+        assert max(abs(out[0b001]), abs(out[0b010]), abs(out[0b100])) < 1e-12
+        assert np.max(np.abs(out - form.amplitudes())) < 1e-8
+        assert min(form.p, form.q, form.r, form.s) >= 0.0
+
+    def test_convergence_failure(self, rng):
+        # One sweep per start cannot bring a generic state's weight-one
+        # entries down to the residual target.
+        v = random_state(distinguishable(3, 2), rng)
+        with pytest.raises(ConvergenceFailure):
+            acin_form(v, restarts=2, max_iterations=1)
+
 
 class TestGabcd:
     def test_basis_vector_is_ghz4(self):
@@ -201,6 +230,8 @@ class TestGabcd:
     def test_zero_coefficients(self):
         with pytest.raises(ZeroState):
             gabcd(np.zeros(4))
+        with pytest.raises(ShapeMismatch):
+            gabcd(np.ones(3))
 
     def test_span_distance(self):
         inside = gabcd(np.array([0.3, 0.5, 0.1, 0.7]))

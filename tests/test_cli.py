@@ -85,6 +85,13 @@ class TestClassify:
         assert main(["classify", str(path), "--max-iter", "50"]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag", [["--step", "nan"], ["--step", "inf"], ["--tol", "nan"]]
+    )
+    def test_non_finite_flow_knobs_rejected(self, w3_file, flag, capsys):
+        assert main(["classify", str(w3_file), *flag]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_unallocatable_embedding_is_an_input_error(self, tmp_path, capsys):
         # A well-formed 40-boson qubit document: its 2^40 x 41 embedding
         # cannot be allocated, which the CLI reports as an input error.

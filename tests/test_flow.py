@@ -137,6 +137,19 @@ class TestFlowToCritical:
         assert excinfo.value.trace is not None
         assert not excinfo.value.trace.converged
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"step_size": math.nan},
+            {"step_size": math.inf},
+            {"tolerance": math.nan},
+            {"tolerance": math.inf},
+        ],
+    )
+    def test_config_rejects_non_finite(self, knobs):
+        with pytest.raises(ValueError):
+            FlowConfig(**knobs)
+
 
 class TestSloccDistance:
     def test_w(self, w3):
