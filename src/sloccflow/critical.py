@@ -45,8 +45,6 @@ from .statespace import (
     DISTINGUISHABLE,
     PureState,
     Sector,
-    _apply_on_axis,
-    _matricize,
     normalize,
 )
 
@@ -221,13 +219,17 @@ def self_consistent_critical(
     seed: int = 0,
     max_iterations: int = 4000,
 ) -> list[PureState]:
-    """States in the eigenspace whose momentum image equals ``alpha``.
+    """The first verified state in the eigenspace whose momentum image is ``alpha``.
 
     Minimizes the squared Frobenius distance of the momentum image to the
     chamber point over the unit sphere of the eigenspace span (projected
-    gradient descent with backtracking and random restarts); minima below
-    the acceptance threshold are kept when they verify as critical with the
-    requested spectrum.  An empty list is a valid outcome.
+    gradient descent with backtracking), from the uniform vector and then
+    from seeded random vectors.  The first minimum below the acceptance
+    threshold that verifies as critical with the requested spectrum is
+    returned as a one-element list: ``d`` and the Morse index are constant
+    on the critical set of ``alpha``, so one representative carries them.
+    ``restarts`` bounds the number of starts; an empty list means none of
+    them verified.
     """
     if not _marginal_feasible(report):
         return []
@@ -240,7 +242,6 @@ def self_consistent_critical(
     def lift(z: np.ndarray) -> PureState:
         return PureState(sector, basis @ z)
 
-    found: list[PureState] = []
     rng = np.random.default_rng(seed)
     starts = [np.ones(m) / math.sqrt(m)] + [
         _unit(rng.standard_normal(m) + 1j * rng.standard_normal(m))
@@ -276,61 +277,12 @@ def self_consistent_critical(
         candidate = normalize(lift(z))
         ok, _ = is_critical(candidate, tol)
         if ok and psi(candidate).allclose(report.alpha, tol):
-            if not any(
-                _same_critical_class(candidate, other, report.alpha)
-                for other in found
-            ):
-                found.append(candidate)
-    return found
+            return [candidate]
+    return []
 
 
 def _unit(z: np.ndarray) -> np.ndarray:
     return z / np.linalg.norm(z)
-
-
-def _alpha_blocks(spectrum: np.ndarray, gap: float = 1e-9) -> list[np.ndarray]:
-    """Index groups of (numerically) equal entries of a sorted spectrum."""
-    ends = np.flatnonzero(np.abs(np.diff(spectrum)) > gap) + 1
-    return np.split(np.arange(spectrum.shape[0]), ends)
-
-
-def _same_critical_class(
-    a: PureState, b: PureState, alpha: SpectrumPoint, tol: float = 1e-6
-) -> bool:
-    """Equality up to the unitary isotropy group of the chamber point.
-
-    The isotropy consists of per-party unitaries block-diagonal in the
-    eigenvalue blocks of ``alpha``; alignment is an alternating per-party
-    polar (Procrustes) maximization of the overlap.  Used only to drop
-    redundant representatives of one critical orbit.
-    """
-    sector = a.sector
-    if sector.identical:
-        return bool(
-            np.max(np.abs(np.abs(a.amplitudes) - np.abs(b.amplitudes))) <= tol
-        )
-    L, N = sector.parties, sector.local_dim
-    blocks = [_alpha_blocks(s) for s in alpha.spectra]
-    ta = a.to_tensor()
-    tb = b.to_tensor()
-    overlap = abs(np.vdot(ta, tb))
-    for _ in range(60):
-        if overlap > 1.0 - 1e-10:
-            return True
-        improved = overlap
-        for p in range(L):
-            G = _matricize(tb, p) @ _matricize(ta, p).conj().T
-            U = np.zeros((N, N), dtype=complex)
-            for idx in blocks[p]:
-                sub = G[np.ix_(idx, idx)]
-                W, _, Vh = np.linalg.svd(sub)
-                U[np.ix_(idx, idx)] = (W @ Vh).conj().T
-            tb = _apply_on_axis(U, tb, p)
-            improved = abs(np.vdot(ta, tb))
-        if improved <= overlap + 1e-14:
-            break
-        overlap = improved
-    return overlap > 1.0 - 1e-8
 
 
 def orbit_dimension(state: PureState, rel_tol: float = 1e-10) -> int:

@@ -22,7 +22,6 @@ from .families import (
     dicke_families,
     dicke_rho_eigenvalues,
     fermion_pair_families,
-    fermion_zero_level_empty,
     scan_qubit_families,
 )
 from .flow import FlowConfig, one_param_limit, slocc_distance
@@ -257,7 +256,8 @@ def demo_fermions(N: int, tol: float = 1e-10) -> DemoTable:
     table = DemoTable(
         f"fermions N={N}", ["k", "d", "index", "index_expected", "ok"]
     )
-    for k, rec in enumerate(fermion_pair_families(N), start=1):
+    records = fermion_pair_families(N)
+    for k, rec in enumerate(records, start=1):
         idx_exp = (N - 2 * k) * (N - 2 * k - 1)
         table.add(
             k=k,
@@ -266,14 +266,15 @@ def demo_fermions(N: int, tol: float = 1e-10) -> DemoTable:
             index_expected=idx_exp,
             ok=rec.morse_index == idx_exp,
         )
-    empty = fermion_zero_level_empty(N, tol)
+    d_min = min(rec.d_value for rec in records)
+    empty = d_min > tol
     table.notes.append(
         f"zero momentum level {'empty' if empty else 'populated'} "
         f"({'expected empty' if N % 2 else 'expected populated'})"
     )
     table.add(
         k="zero-level",
-        d=min(rec.d_value for rec in fermion_pair_families(N)),
+        d=d_min,
         index=-1,
         index_expected=-1,
         ok=empty == bool(N % 2),

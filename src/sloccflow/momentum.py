@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NotQubitSector, PartyOutOfRange, ShapeMismatch
+from .errors import NotInWeylChamber, NotQubitSector, PartyOutOfRange, ShapeMismatch
 from .statespace import (
     BOSONIC,
     DISTINGUISHABLE,
@@ -119,7 +119,7 @@ class SpectrumPoint:
         return [np.diag(s.astype(complex)) for s in self.spectra]
 
     def allclose(self, other: "SpectrumPoint", tol: float = 1e-8) -> bool:
-        if self.sector != other.sector:
+        if self.sector != other.sector or len(self.spectra) != len(other.spectra):
             return False
         return all(
             np.max(np.abs(a - b)) <= tol
@@ -127,19 +127,22 @@ class SpectrumPoint:
         )
 
     def validate_weyl_chamber(self, tol: float = 1e-10) -> None:
-        """Check weakly decreasing spectra that shift to density spectra."""
-        from .errors import NotInWeylChamber
-
-        N = self.sector.local_dim
-        for s in self.spectra:
-            if s.shape[0] != N:
-                raise NotInWeylChamber("spectrum length does not match local dim")
-            if np.any(np.diff(s) > tol):
-                raise NotInWeylChamber("spectra must be weakly decreasing")
-            if abs(s.sum()) > math.sqrt(tol):
-                raise NotInWeylChamber("spectra entries must sum to zero")
-            if np.any(s + 1.0 / N < -tol) or np.any(s + 1.0 / N > 1.0 + tol):
-                raise NotInWeylChamber("shifted entries must lie in [0, 1]")
+        """Check one weakly decreasing spectrum per party, shifting into [0, 1]."""
+        sector = self.sector
+        count = 1 if sector.identical else sector.parties
+        if len(self.spectra) != count:
+            raise NotInWeylChamber(f"expected {count} spectra, got {len(self.spectra)}")
+        N = sector.local_dim
+        if any(s.shape != (N,) for s in self.spectra):
+            raise NotInWeylChamber("spectrum length does not match local dim")
+        spectra = np.stack(self.spectra)
+        if np.any(np.diff(spectra, axis=1) > tol):
+            raise NotInWeylChamber("spectra must be weakly decreasing")
+        if np.any(np.abs(spectra.sum(axis=1)) > math.sqrt(tol)):
+            raise NotInWeylChamber("spectra entries must sum to zero")
+        shifted = spectra + 1.0 / N
+        if np.any(shifted < -tol) or np.any(shifted > 1.0 + tol):
+            raise NotInWeylChamber("shifted entries must lie in [0, 1]")
 
     def to_json(self) -> dict:
         return {

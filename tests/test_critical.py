@@ -24,7 +24,8 @@ from sloccflow.critical import (
 )
 from sloccflow.errors import NotInWeylChamber
 from sloccflow.families import scan_qubit_families
-from sloccflow.momentum import SpectrumPoint, psi
+from sloccflow.momentum import SpectrumPoint, momentum, psi
+from sloccflow.morse import morse_index
 from sloccflow.statespace import (
     LocalOperator,
     apply_local,
@@ -132,6 +133,16 @@ class TestAlphaStarEigenspaces:
         assert lines[0] == "eigenvalue,multiplicity"
         assert sum(int(row.split(",")[1]) for row in lines[1:]) == 8
 
+    @pytest.mark.parametrize(
+        "sector,count",
+        [(distinguishable(3, 2), 3), (bosonic(3, 2), 1)],
+        ids=["distinguishable", "bosonic"],
+    )
+    def test_spectrum_count_must_match_parties(self, sector, count):
+        h = np.array([0.25, -0.25])
+        with pytest.raises(NotInWeylChamber, match=f"expected {count} spectra"):
+            alpha_star_eigenspaces(SpectrumPoint(sector, (h, h)))
+
 
 class TestSelfConsistency:
     def test_w_family_recovered(self):
@@ -205,6 +216,74 @@ class TestSelfConsistency:
             # Only excitation counts at or below half filling match alpha.
             expected = {m for m in (k, L - k) if 2 * m <= L}
             assert set(labels) == expected
+
+
+def _w_block():
+    alpha = qubit_spectrum_point(distinguishable(3, 2), (1 / 6, 1 / 6, 1 / 6))
+    return next(
+        r
+        for r in alpha_star_eigenspaces(alpha)
+        if r.multiplicity == 3 and r.eigenvalue > 0
+    )
+
+
+def _b2_block():
+    alpha = qubit_spectrum_point(distinguishable(3, 2), (0.0, 0.5, 0.0))
+    return next(
+        r for r in alpha_star_eigenspaces(alpha) if abs(r.eigenvalue - 0.5) < 1e-12
+    )
+
+
+class TestFirstVerifiedState:
+    def test_stops_at_first_verified_start(self, monkeypatch):
+        calls = []
+
+        def counted(state, tol=1e-8):
+            calls.append(state)
+            return is_critical(state, tol)
+
+        monkeypatch.setattr(critical, "is_critical", counted)
+        states = self_consistent_critical(_w_block(), seed=3)
+        assert len(states) == 1
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "block,index", [(_w_block, 2), (_b2_block, 6)], ids=["W", "B2"]
+    )
+    def test_any_verified_state_gives_the_same_invariants(
+        self, monkeypatch, block, index
+    ):
+        # Rejecting the first verified candidates makes later (random) starts
+        # supply the representative: d and the index depend only on alpha.
+        report = block()
+        d_expected = math.sqrt(sum(float(s @ s) for s in report.alpha.spectra))
+        representatives = []
+        for skip in (0, 4):
+            rejected = []
+
+            def reject_first(state, tol=1e-8):
+                ok, lam = is_critical(state, tol)
+                if ok and len(rejected) < skip:
+                    rejected.append(state)
+                    return False, lam
+                return ok, lam
+
+            monkeypatch.setattr(critical, "is_critical", reject_first)
+            for seed in range(6):
+                states = self_consistent_critical(report, seed=seed)
+                assert len(states) == 1 and len(rejected) == skip
+                rejected.clear()
+                representatives.append(states[0])
+        # The random starts reach other points of the critical set.
+        overlaps = [
+            abs(np.vdot(representatives[0].amplitudes, v.amplitudes))
+            for v in representatives
+        ]
+        assert min(overlaps) < 1 - 1e-6
+        for v in representatives:
+            d = math.sqrt(momentum(v).norm_sq())
+            assert abs(d - d_expected) < 1e-9
+            assert morse_index(v, tol=1e-6) == index
 
 
 class TestOrbitDimension:

@@ -267,6 +267,31 @@ class TestPsi:
         with pytest.raises(NotInWeylChamber):
             bad.validate_weyl_chamber()
 
+    @pytest.mark.parametrize(
+        "spectrum,message",
+        [
+            ([0.1, 0.0, -0.1], "spectrum length"),
+            ([-0.1, 0.1], "weakly decreasing"),
+            ([0.2, 0.1], "sum to zero"),
+            ([0.7, -0.7], r"\[0, 1\]"),
+        ],
+    )
+    def test_weyl_chamber_violation_named(self, spectrum, message):
+        sector = distinguishable(3, 2)
+        good = np.array([0.1, -0.1])
+        bad = SpectrumPoint(sector, (good, np.array(spectrum), good))
+        with pytest.raises(NotInWeylChamber, match=message):
+            bad.validate_weyl_chamber()
+
+    def test_allclose_needs_equal_spectrum_count(self):
+        sector = distinguishable(3, 2)
+        h = np.array([0.25, -0.25])
+        full = SpectrumPoint(sector, (h, h, h))
+        prefix = SpectrumPoint(sector, (h, h))
+        assert full.allclose(full)
+        assert not full.allclose(prefix)
+        assert not prefix.allclose(full)
+
 
 class TestPolygonal:
     def _point(self, lambdas):
