@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -23,28 +22,28 @@ from .flow import (
     ZERO_STRATUM_MU2,
     FlowConfig,
     FlowTrace,
+    _snapped_spectra,
     flow_to_critical,
     projected_gradient,
-    terminal_stratum,
 )
 from .momentum import (
     SpectrumPoint,
+    _frame_moments,
     momentum,
     mu_star_apply,
     psi,
-    total_variance,
 )
 from .morse import (
-    complement_hessian_spectrum,
-    critical_above_zero_level,
+    _complement_spectrum,
+    _critical_above,
+    complement_hessian_spectrum,  # noqa: F401  (the benchmark tracer wraps this binding)
     index_from_spectrum,
     orbit_action_columns,
 )
 from .statespace import (
-    BOSONIC,
-    DISTINGUISHABLE,
     PureState,
     Sector,
+    _ket_weights,
     normalize,
 )
 
@@ -115,30 +114,6 @@ def is_critical(state: PureState, tol: float = 1e-8) -> tuple[bool, float]:
     """Whether the projected momentum direction vanishes, plus the Rayleigh value."""
     grad, lam = projected_gradient(state)
     return float(np.linalg.norm(grad)) <= tol, lam
-
-
-@lru_cache(maxsize=None)
-def _ket_weights(sector: Sector) -> np.ndarray:
-    """Level populations: one row per (party, level), one column per basis ket.
-
-    Entry ``(p * N + j, k)`` counts the particles of ket ``k`` on level ``j``
-    of party ``p``; identical particles have the one party ``p = 0``.
-    """
-    labels = sector.basis_labels()
-    N = sector.local_dim
-    if sector.kind == BOSONIC:
-        counts = np.array(labels)
-    elif sector.kind == DISTINGUISHABLE:
-        digits = np.array(labels).reshape(len(labels), sector.parties)
-        counts = (digits[:, :, None] == np.arange(N)).reshape(len(labels), -1)
-    else:
-        subsets = np.array(labels, dtype=int).reshape(len(labels), sector.parties)
-        counts = np.zeros((len(labels), N))
-        counts[np.arange(len(labels))[:, None], subsets - 1] = 1.0
-    # Ket-major storage: each ket's populations of one party are contiguous.
-    weights = counts.astype(float).T
-    weights.setflags(write=False)
-    return weights
 
 
 def _alpha_diagonal_values(alpha: SpectrumPoint) -> np.ndarray:
@@ -334,17 +309,24 @@ def classify_with_trace(
 ) -> tuple[CriticalRecord, FlowTrace]:
     state = normalize(state)
     terminal, trace = flow_to_critical(state, config)
-    lam = momentum(terminal).norm_sq()
+    # One momentum image gives the level, the stratum and the zero-level test.
+    point = momentum(terminal)
+    lam = point.norm_sq()
     d = math.sqrt(max(lam, 0.0))
-    # One compressed spectrum gives both the reported spectrum and the index.
-    counted = critical_above_zero_level(terminal, morse_tol)
-    hess = complement_hessian_spectrum(terminal) if counted else np.zeros(0)
+    if _critical_above(terminal, lam, morse_tol):
+        # One frame and one compressed spectrum give the reported spectrum and
+        # the index; the frame's generator columns give the variance.
+        hess, frame = _complement_spectrum(terminal, point)
+        squares, means = _frame_moments(frame.base, frame.generator_columns)
+    else:
+        hess = np.zeros(0)
+        squares, means = _frame_moments(terminal)
     record = CriticalRecord(
         state=terminal,
         lambda_value=lam,
         d_value=d,
-        variance=total_variance(terminal),
-        stratum=terminal_stratum(terminal),
+        variance=squares - means,
+        stratum=_snapped_spectra(point),
         morse_index=index_from_spectrum(hess),
         stability=_stability_from(d, state),
         hessian_spectrum=tuple(float(x) for x in hess),

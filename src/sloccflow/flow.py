@@ -12,6 +12,13 @@ orbit, where the gradient decays polynomially in flow time -- when
 ``||mu||^2`` falls below ``SEMISTABLE_EXIT_MU2``.  The latter is strictly
 inside the zero-stratum labeling threshold, so both exits agree on the
 classification; the exit reason is recorded on the trace.
+
+Regimes: the integrator starts on plain fixed-size gradient moves and may
+switch to heavy-ball moves under a line search.  The switch waits for
+``CONSERVATIVE_PREFIX`` moves, or for ``||mu||^2`` to drop below
+``MARGIN_GATE`` times the sector's weight margin ``gamma^2``
+(``momentum.weight_margin``): the smallest nonzero critical value candidate
+of ``||mu||^2``, so a flow below it can only end on the zero level.
 """
 
 from __future__ import annotations
@@ -23,11 +30,13 @@ import numpy as np
 
 from .errors import Divergent, NotConverged, ShapeMismatch, ZeroState
 from .momentum import (
+    MomentumPoint,
     SpectrumPoint,
     _one_body,
     _ordered_spectra,
     _shifted_densities,
     momentum,
+    weight_margin,
 )
 from .statespace import (
     LocalOperator,
@@ -164,6 +173,8 @@ def gradient_norm(state: PureState) -> float:
 MOMENTUM_BETA = 0.9
 AGGRESSIVE_RATIO = 1e-8
 CONSERVATIVE_PREFIX = 2000
+# Fraction of the sector's weight margin below which the prefix ends.
+MARGIN_GATE = 0.9
 
 
 def flow_to_critical(
@@ -173,7 +184,16 @@ def flow_to_critical(
 
     The first ``CONSERVATIVE_PREFIX`` moves are plain fixed-size gradient
     steps; flows into null-cone critical orbits converge inside this prefix
-    at desk scale.  Afterwards two regimes alternate on ``grad^2/||mu||^2``:
+    at desk scale.  The prefix ends early once ``||mu||^2`` drops below
+    ``MARGIN_GATE * gamma^2``, where ``gamma^2 = weight_margin(sector)`` is
+    the sector's smallest nonzero critical value candidate: every nonzero
+    critical value is ``||beta||^2`` for ``beta`` the minimum-norm point of
+    the convex hull of some ket weights (Ness; Kirwan), and no accepted move
+    raises ``||mu||^2`` beyond rounding slack, so below that point only the
+    zero level remains and the prefix protects nothing.  A flow ending on a
+    nonzero level ``l`` stays at or above ``l >= gamma^2``, so the gate never
+    fires on it.  Sectors without a margin (too many weight subsets) keep the
+    full prefix.  Afterwards two regimes alternate on ``grad^2/||mu||^2``:
     away from nonzero critical values (ratio large, which includes the
     approach to the zero level) the descent direction carries heavy-ball
     memory in the acting Lie algebra and the step grows under a monotone
@@ -196,6 +216,8 @@ def flow_to_critical(
     mats = _shifted_densities(tensor, engine.count)
     mu2 = engine.mu2(mats)
     direction = [m.copy() for m in mats]
+    margin = weight_margin(state.sector)
+    gate_mu2 = -math.inf if margin is None else MARGIN_GATE * margin
     iteration = 0
     while True:
         grad, _ = engine.gradient(mats, tensor, amps)
@@ -222,9 +244,8 @@ def flow_to_critical(
         if iteration >= config.max_iterations:
             break
         aggressive = (
-            iteration >= CONSERVATIVE_PREFIX
-            and grad_norm**2 >= AGGRESSIVE_RATIO * mu2
-        )
+            iteration >= CONSERVATIVE_PREFIX or mu2 < gate_mu2
+        ) and grad_norm**2 >= AGGRESSIVE_RATIO * mu2
         if aggressive:
             move_direction, move_step = direction, step
         else:
@@ -280,11 +301,15 @@ def stratum_label(state: PureState, config: FlowConfig | None = None) -> Spectru
 
 
 def terminal_stratum(terminal: PureState) -> SpectrumPoint:
-    point = momentum(terminal)
+    return _snapped_spectra(momentum(terminal))
+
+
+def _snapped_spectra(point: MomentumPoint) -> SpectrumPoint:
+    """Ordered spectra of a momentum image; zero below ``ZERO_STRATUM_MU2``."""
     label = _ordered_spectra(point)
     if point.norm_sq() < ZERO_STRATUM_MU2:
         return SpectrumPoint(
-            terminal.sector, tuple(np.zeros_like(s) for s in label.spectra)
+            point.sector, tuple(np.zeros_like(s) for s in label.spectra)
         )
     return label
 

@@ -29,6 +29,7 @@ from .statespace import (
     _axis_matrices,
     _embed,
     _frozen,
+    _ket_weights,
     _matricize,
     _project,
 )
@@ -238,6 +239,98 @@ def mu_norm_sq(state: PureState) -> float:
     return momentum(state).norm_sq()
 
 
+# Sectors with more weight subsets of size at most the weight-space
+# dimension get no margin: 4 qubits (2 516) and ``fermionic(2, 6)`` (4 943)
+# are in, 5 qubits, 4 qutrits, 2 ququarts and ``fermionic(2, 7)`` and up
+# are out.
+MARGIN_MAX_SUBSETS = 10_000
+# Squared distance of a weight from the span of its subset below which the
+# weight counts as dependent.  Over the 39 sectors with a margin among up to
+# 5 distinguishable parties (N <= 4), bosons (L <= 10, N <= 5) and fermions
+# (N <= 8), genuine distances are at least 6.8e-3 and rounding residues at
+# most 3e-14.
+MARGIN_PIVOT_TOL = 1e-9
+
+
+@lru_cache(maxsize=None)
+def weight_margin(sector: Sector) -> float | None:
+    """Smallest nonzero critical value candidate of ``||mu||^2`` on the sector.
+
+    Every critical value of ``||mu||^2`` is ``||beta||^2`` for ``beta`` the
+    minimum-norm point of the convex hull of some set of ket weights (Ness
+    1984; Kirwan 1984), so below the returned ``gamma^2`` a flow can only end
+    on the zero level.  The weight of a basis ket is its momentum image:
+    level populations minus ``1/N`` per party, or occupations minus ``L/N``
+    for identical particles, so ``||w||^2`` is in ``mu2`` units.
+
+    The minimum-norm point of a convex hull is the affine minimum-norm point
+    of an affinely independent subset with nonnegative barycentric
+    coordinates.  Such a subset with a nonzero point is linearly independent
+    (a linear dependence among affinely independent points puts the origin in
+    their affine hull), so only linearly independent subsets are visited; they
+    have at most ``N - 1`` weights per acting party.  For those, with Gram matrix ``G``,
+    ``||beta||^2 = 1 / (1' G^-1 1)`` and the barycentric coordinates are
+    ``G^-1 1 / (1' G^-1 1)``.  Subsets grow one weight at a time, carrying
+    the Cholesky factor of ``G`` and ``y = chol^-1 1``; a weight within
+    ``MARGIN_PIVOT_TOL`` of the span of its subset ends that branch, since
+    every superset is dependent too.
+
+    Returns None when the sector has more than ``MARGIN_MAX_SUBSETS`` subsets
+    of that size or less, or no nonzero candidate.  Cached per sector.
+    """
+    N, kets = sector.local_dim, sector.dim
+    copies, acting = (sector.parties, 1) if sector.identical else (1, sector.parties)
+    # The weights span at most the diagonal traceless matrices of each acting
+    # party: N - 1 dimensions per party, one party for identical particles.
+    rank = (N - 1) * acting
+    if sum(math.comb(kets, k) for k in range(1, rank + 1)) > MARGIN_MAX_SUBSETS:
+        return None
+    weights = _ket_weights(sector) - copies / N
+    gram = weights.T @ weights
+    diag = np.diag(gram)
+    # One row per subset: ket indices in increasing order, the Cholesky
+    # factor of the subset's Gram matrix and ``y = chol^-1 1``.
+    subsets = np.flatnonzero(diag > MARGIN_PIVOT_TOL)[:, None]
+    chol = np.sqrt(diag[subsets])[:, :, None]
+    y = 1.0 / chol[:, :, 0]
+    levels = [diag[subsets[:, 0]]]
+    for k in range(1, rank):
+        # Every child appends one ket past the parent's last one.
+        last = subsets[:, -1]
+        counts = kets - 1 - last
+        parent = np.repeat(np.arange(len(subsets)), counts)
+        offset = np.arange(parent.size) - (np.cumsum(counts) - counts)[parent]
+        new = last[parent] + 1 + offset
+        # Forward substitution: the new row of the Cholesky factor.
+        col = gram[subsets[parent], new[:, None]]
+        fac = chol[parent]
+        row = np.empty_like(col)
+        for i in range(k):
+            row[:, i] = (col[:, i] - np.sum(fac[:, i, :i] * row[:, :i], axis=1)) / fac[:, i, i]
+        pivot_sq = diag[new] - np.sum(row * row, axis=1)
+        keep = pivot_sq > MARGIN_PIVOT_TOL
+        parent, new, row, fac = parent[keep], new[keep], row[keep], fac[keep]
+        pivot = np.sqrt(pivot_sq[keep])
+        subsets = np.column_stack([subsets[parent], new])
+        y = np.column_stack([y[parent], (1.0 - np.sum(row * y[parent], axis=1)) / pivot])
+        chol = np.zeros((len(subsets), k + 1, k + 1))
+        chol[:, :k, :k] = fac
+        chol[:, k, :k] = row
+        chol[:, k, k] = pivot
+        # Back substitution: ``G^-1 1 = chol^-T y``, the unnormalized
+        # barycentric coordinates, which sum to ``s = 1' G^-1 1``.
+        bary = np.empty_like(y)
+        for i in range(k, -1, -1):
+            tail = np.sum(chol[:, i + 1 :, i] * bary[:, i + 1 :], axis=1)
+            bary[:, i] = (y[:, i] - tail) / chol[:, i, i]
+        s = np.sum(y * y, axis=1)
+        # Keep points inside the hull: ``bary / s >= 0`` up to rounding.
+        inside = np.all(bary >= -MARGIN_PIVOT_TOL * s[:, None], axis=1)
+        levels.append(1.0 / s[inside])
+    candidates = np.concatenate(levels)
+    return float(candidates.min()) if candidates.size else None
+
+
 @lru_cache(maxsize=None)
 def represented_generators(sector: Sector) -> np.ndarray:
     """Local observable frame represented on the sector basis.
@@ -273,17 +366,21 @@ def _generator_columns(sector: Sector, x: np.ndarray) -> np.ndarray:
     return _project(sector, np.stack(parts, axis=-1))
 
 
-def _frame_moments(state: PureState) -> tuple[float, float]:
+def _frame_moments(
+    state: PureState, cols: np.ndarray | None = None
+) -> tuple[float, float]:
     """``sum_i <X_i^2>`` and ``sum_i <X_i>^2`` over the local observable frame.
 
     Both come from the columns ``X_i v``: ``<X_i^2> = ||X_i v||^2 / ||v||^2``
-    and ``<X_i> = Re <v|X_i v> / ||v||^2``.
+    and ``<X_i> = Re <v|X_i v> / ||v||^2``.  ``cols`` are the state's
+    ``_generator_columns`` when the caller has built them already.
     """
     v = state.amplitudes
     norm_sq = float(np.vdot(v, v).real)
     if norm_sq <= 0.0:
         raise ShapeMismatch("cannot reduce a zero state")
-    cols = _generator_columns(state.sector, v)
+    if cols is None:
+        cols = _generator_columns(state.sector, v)
     squares = float(np.vdot(cols, cols).real) / norm_sq
     means = float(np.sum((v.conj() @ cols).real ** 2)) / norm_sq**2
     return squares, means

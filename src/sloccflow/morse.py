@@ -17,7 +17,13 @@ import numpy as np
 
 from .errors import NotCritical
 from .flow import ZERO_STRATUM_MU2, gradient_norm
-from .momentum import _generator_columns, _mu_star, momentum, mu_star_matrix
+from .momentum import (
+    MomentumPoint,
+    _generator_columns,
+    _mu_star,
+    momentum,
+    mu_star_matrix,
+)
 from .statespace import PureState, normalize
 
 # Frames are built at flow terminals, where residual unstable-direction
@@ -36,7 +42,11 @@ def orbit_action_columns(state: PureState) -> np.ndarray:
     algebra is closed under multiplication by ``i``.
     """
     v = state.amplitudes
-    cols = _generator_columns(state.sector, v)
+    return _projected(v, _generator_columns(state.sector, v))
+
+
+def _projected(v: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Columns with their component along the unit vector ``v`` removed."""
     return cols - np.outer(v, v.conj() @ cols)
 
 
@@ -47,11 +57,14 @@ class TangentFrame:
     ``orbit_complex`` and ``complement_complex`` hold complex-orthonormal
     column bases; the corresponding real-orthonormal frames are the pairs
     ``{u, iu}`` exposed by ``orbit_basis`` / ``complement_basis``.
+    ``generator_columns`` are the unprojected columns ``X_i v`` the split was
+    computed from, which also give the total variance at the base.
     """
 
     base: PureState
     orbit_complex: np.ndarray
     complement_complex: np.ndarray
+    generator_columns: np.ndarray
 
     @staticmethod
     def _realify(columns: np.ndarray) -> list[np.ndarray]:
@@ -78,8 +91,8 @@ def orbit_tangent_frame(state: PureState, rel_tol: float = FRAME_REL_TOL) -> Tan
     state = normalize(state)
     v = state.amplitudes
     dim = state.sector.dim
-    cols = orbit_action_columns(state)
-    U, s, _ = np.linalg.svd(cols, full_matrices=False)
+    cols = _generator_columns(state.sector, v)
+    U, s, _ = np.linalg.svd(_projected(v, cols), full_matrices=False)
     rank = int(np.sum(s > (s[0] if s.size and s[0] > 0 else 1.0) * rel_tol))
     orbit = U[:, :rank]
     # Complete the base point and the orbit directions to a unitary; the
@@ -87,7 +100,7 @@ def orbit_tangent_frame(state: PureState, rel_tol: float = FRAME_REL_TOL) -> Tan
     Q, R = np.linalg.qr(np.column_stack([v, orbit]), mode="complete")
     if rank + 1 > dim or np.any(np.abs(np.diag(R)[: rank + 1]) < 0.5):
         raise RuntimeError("tangent frame construction lost dimensions")
-    return TangentFrame(state, orbit, Q[:, rank + 1 :])
+    return TangentFrame(state, orbit, Q[:, rank + 1 :], cols)
 
 
 def morse_index(
@@ -117,9 +130,14 @@ def critical_above_zero_level(state: PureState, tol: float = 1e-8) -> bool:
     Raises ``NotCritical`` there when the gradient norm exceeds ``tol``.
     """
     state = normalize(state)
+    return _critical_above(state, momentum(state).norm_sq(), tol)
+
+
+def _critical_above(state: PureState, mu2: float, tol: float = 1e-8) -> bool:
+    """``critical_above_zero_level`` for a unit state whose ``||mu||^2`` is known."""
     # At (or numerically inside) the zero level the index is zero; residual
     # gradients of semistable terminals do not count against criticality.
-    if momentum(state).norm_sq() <= ZERO_STRATUM_MU2:
+    if mu2 <= ZERO_STRATUM_MU2:
         return False
     grad = gradient_norm(state)
     if grad > tol:
@@ -133,17 +151,28 @@ def complement_hessian_spectrum(state: PureState) -> np.ndarray:
     Each entry counts twice in the Morse index when negative (pair ``u, iu``).
     """
     state = normalize(state)
+    return _complement_spectrum(state, momentum(state))[0]
+
+
+def _complement_spectrum(
+    state: PureState, point: MomentumPoint
+) -> tuple[np.ndarray, TangentFrame]:
+    """``complement_hessian_spectrum`` of a state whose momentum image is ``point``.
+
+    Also returns the tangent frame it was computed in, whose generator
+    columns serve the caller's other invariants at the same state.
+    """
     frame = orbit_tangent_frame(state)
     C = frame.complement_complex
     if C.shape[1] == 0:
-        return np.zeros(0)
+        return np.zeros(0), frame
     # The frozen momentum operator acts matrix-free on [v, C]: <v|M v> and M C.
-    v = state.amplitudes
-    image = _mu_star(momentum(state), state.sector, np.column_stack([v, C]))
+    v = frame.base.amplitudes
+    image = _mu_star(point, state.sector, np.column_stack([v, C]))
     lam = float(np.vdot(v, image[:, 0]).real)
     compressed = C.conj().T @ image[:, 1:]
     eigs = np.linalg.eigvalsh(0.5 * (compressed + compressed.conj().T))
-    return 2.0 * (eigs - lam)
+    return 2.0 * (eigs - lam), frame
 
 
 def hessian_fd_oracle(

@@ -117,6 +117,30 @@ def _basis_index(sector: Sector) -> dict[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=None)
+def _ket_weights(sector: Sector) -> np.ndarray:
+    """Level populations: one row per (party, level), one column per basis ket.
+
+    Entry ``(p * N + j, k)`` counts the particles of ket ``k`` on level ``j``
+    of party ``p``; identical particles have the one party ``p = 0``.
+    """
+    labels = sector.basis_labels()
+    N = sector.local_dim
+    if sector.kind == BOSONIC:
+        counts = np.array(labels)
+    elif sector.kind == DISTINGUISHABLE:
+        digits = np.array(labels).reshape(len(labels), sector.parties)
+        counts = (digits[:, :, None] == np.arange(N)).reshape(len(labels), -1)
+    else:
+        subsets = np.array(labels, dtype=int).reshape(len(labels), sector.parties)
+        counts = np.zeros((len(labels), N))
+        counts[np.arange(len(labels))[:, None], subsets - 1] = 1.0
+    # Ket-major storage: each ket's populations of one party are contiguous.
+    weights = counts.astype(float).T
+    weights.setflags(write=False)
+    return weights
+
+
+@lru_cache(maxsize=None)
 def embedding_isometry(sector: Sector) -> np.ndarray:
     """Isometry from the sector basis into the full tensor power ``(C^N)^L``.
 

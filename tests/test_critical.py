@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 from fractions import Fraction
@@ -24,7 +25,7 @@ from sloccflow.critical import (
 )
 from sloccflow.errors import NotInWeylChamber
 from sloccflow.families import scan_qubit_families
-from sloccflow.momentum import SpectrumPoint, momentum, psi
+from sloccflow.momentum import SpectrumPoint, momentum, psi, total_variance
 from sloccflow.morse import morse_index
 from sloccflow.statespace import (
     LocalOperator,
@@ -348,6 +349,40 @@ class TestClassify:
             "lambda", "d", "variance", "morse_index", "stability",
             "stratum", "terminal_state",
         }
+
+
+    # On the zero level the second column build is the input's orbit
+    # dimension, which decides stable against semistable.
+    @pytest.mark.parametrize(
+        "amps,nonzero,builds",
+        [([0, 2, 1, 0, 1, 0, 0, 0], True, 1), ([2, 0, 0, 0, 0, 0, 0, 1], False, 2)],
+    )
+    def test_one_momentum_image_and_one_column_build(
+        self, monkeypatch, amps, nonzero, builds
+    ):
+        # ``sloccflow.momentum`` is the function; the module is looked up by name.
+        modules = [
+            importlib.import_module(f"sloccflow.{name}")
+            for name in ("critical", "flow", "morse", "momentum")
+        ]
+        calls = {"momentum": 0, "_generator_columns": 0}
+        originals = {name: getattr(modules[-1], name) for name in calls}
+
+        def counting(name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return originals[name](*args, **kwargs)
+
+            return wrapper
+
+        for module in modules:
+            for name in calls:
+                if getattr(module, name, None) is originals[name]:
+                    monkeypatch.setattr(module, name, counting(name))
+        record, _ = critical.classify_with_trace(qubits(amps, 3))
+        assert (record.lambda_value > 0.1) is nonzero
+        assert calls == {"momentum": 1, "_generator_columns": builds}
+        assert record.variance == pytest.approx(total_variance(record.state), abs=1e-12)
 
 
 class TestWeylGrid:

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -17,10 +20,12 @@ from sloccflow.momentum import (
     reduced_density,
     represented_generators,
     total_variance,
+    weight_margin,
 )
 from sloccflow.statespace import (
     LocalOperator,
     PureState,
+    _ket_weights,
     apply_local,
     bosonic,
     distinguishable,
@@ -332,3 +337,116 @@ class TestSerialization:
     def test_spectrum_point_json(self, w3):
         doc = psi(w3).to_json()
         assert doc["spectra"][0] == pytest.approx([1 / 6, -1 / 6])
+
+
+def _exact_solve(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
+    """Gauss-Jordan elimination in exact arithmetic; None when ``A`` is singular."""
+    n = len(b)
+    rows = [row[:] + [rhs] for row, rhs in zip(A, b)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def _exact_margin(sector) -> Fraction | None:
+    """Smallest nonzero ``||beta||^2`` over affinely independent weight subsets.
+
+    Reference for ``weight_margin`` by a different route: every subset of at
+    most rank + 1 shifted ket weights, in exact arithmetic, through the
+    bordered system ``G lam + nu 1 = 0, 1' lam = 1`` whose solution has
+    ``||beta||^2 = -nu``; only nonnegative ``lam`` count.
+    """
+    raw = _ket_weights(sector)
+    copies = sector.parties if sector.identical else 1
+    shift = Fraction(copies, sector.local_dim)
+    weights = [[Fraction(int(x)) - shift for x in column] for column in raw.T]
+    rank = np.linalg.matrix_rank(raw - float(shift))
+    levels = set()
+    for size in range(1, rank + 2):
+        for subset in combinations(weights, size):
+            gram = [[sum(a * b for a, b in zip(u, w)) for w in subset] for u in subset]
+            bordered = [row + [Fraction(1)] for row in gram]
+            bordered.append([Fraction(1)] * size + [Fraction(0)])
+            solution = _exact_solve(bordered, [Fraction(0)] * size + [Fraction(1)])
+            if solution is None or min(solution[:size]) < 0:
+                continue
+            if solution[-1] != 0:
+                levels.add(-solution[-1])
+    return min(levels) if levels else None
+
+
+def _acceptance_levels():
+    """Nonzero critical levels ``d^2`` of the acceptance tables, by closed form."""
+    for level in (Fraction(1, 6), Fraction(1, 2), Fraction(3, 2)):
+        yield distinguishable(3, 2), level  # W, B, SEP
+    for N in range(2, 7):
+        for k in range(1, N):
+            yield distinguishable(2, N), Fraction(2 * (k * (N - k) ** 2 + k * k * (N - k)), (N * k) ** 2)
+            yield bosonic(2, N), Fraction(4 * (N - k), k * N)
+        for k in range(1, (N + 1) // 2):
+            yield fermionic(2, N), Fraction(4 * (N - 2 * k), 2 * k * N)
+    for L in range(2, 9):
+        for k in range(L // 2 + 1):
+            if L != 2 * k:
+                yield bosonic(L, 2), Fraction((L - 2 * k) ** 2, 2)
+
+
+class TestWeightMargin:
+    @pytest.mark.parametrize(
+        "sector,expected",
+        [
+            (distinguishable(3, 2), Fraction(1, 6)),
+            (distinguishable(4, 2), Fraction(1, 14)),
+            (distinguishable(2, 3), Fraction(1, 12)),
+            (bosonic(5, 3), Fraction(1, 78)),
+            (fermionic(2, 6), Fraction(2, 51)),
+        ]
+        + [(bosonic(L, 2), Fraction(2) if L % 2 == 0 else Fraction(1, 2)) for L in range(2, 11)],
+    )
+    def test_exact_values(self, sector, expected):
+        assert weight_margin(sector) == pytest.approx(float(expected), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "sector",
+        [
+            distinguishable(2, 2),
+            distinguishable(3, 2),
+            distinguishable(2, 3),
+            bosonic(4, 2),
+            bosonic(5, 2),
+            bosonic(2, 3),
+            bosonic(5, 3),
+            fermionic(2, 4),
+        ],
+    )
+    def test_matches_exact_bordered_oracle(self, sector):
+        exact = _exact_margin(sector)
+        assert exact is not None
+        assert weight_margin(sector) == pytest.approx(float(exact), rel=1e-12)
+
+    def test_below_every_nonzero_acceptance_level(self):
+        without = set()
+        for sector, level in _acceptance_levels():
+            margin = weight_margin(sector)
+            if margin is None:
+                without.add(sector)
+            else:
+                assert margin <= float(level) * (1 + 1e-12), (sector, level)
+        # Only these exceed the subset bound.
+        assert without == {
+            distinguishable(2, 4),
+            distinguishable(2, 5),
+            distinguishable(2, 6),
+            bosonic(2, 6),
+        }
+
+    @pytest.mark.parametrize("parties", [5, 10])
+    def test_none_above_the_subset_bound(self, parties):
+        assert weight_margin(distinguishable(parties, 2)) is None

@@ -1,12 +1,14 @@
-"""The benchmark's chamber-scan operation must still run and pass its oracle.
+"""Benchmark operations must still run and pass their oracle.
 
 ``perfbench/worker.py`` calls ``families.scan_qubit_families`` and reads the
 families' strata, ``d`` and index; ``perfbench/oracle.py`` checks them against
-the six three-qubit families.  A change to the scan's signature or output
-would otherwise show up only when the benchmark runs.
+the six three-qubit families.  Classify operations go through
+``classify_with_trace`` and are checked against closed forms.  A change to a
+signature or an output would otherwise show up only when the benchmark runs.
 """
 
 import importlib.util
+import re
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -26,3 +28,21 @@ def test_scan_operation_passes_oracle():
     op = {"spec": {"kind": "scan", "parties": 3, "max_denominator": 6, "seed": 0}}
     result = worker.run_operation(op, None)
     assert oracle.check_scan(result) == []
+
+
+# Zero-level flows that leave the conservative prefix below the weight
+# margin, and one moved state of each three-qubit class.
+CLASSIFY_SMALL_PICKS = r"four-qubit-.*|haar-4x2-\d+|three-\w+-0"
+
+
+def test_classify_small_operations_pass_oracle():
+    generate, worker, oracle = _load("generate"), _load("worker"), _load("oracle")
+    ops = [
+        op
+        for op in generate.generate("classify-small", 3)
+        if re.fullmatch(CLASSIFY_SMALL_PICKS, op["id"])
+    ]
+    assert len(ops) == 5 + 3 + 6
+    for op in ops:
+        result = worker.run_operation(op, worker.sloccflow.state_from_json(op["state"]))
+        assert oracle.check(op, result) == [], op["id"]
