@@ -84,20 +84,16 @@ def schmidt(state: PureState) -> SchmidtForm:
     return SchmidtForm(s, (U.conj().T, Vh.conj()))
 
 
-def _con_eigenvector(M: np.ndarray, w: np.ndarray, s: float) -> np.ndarray:
-    """Unit vector u with ``M conj(u) = s u`` built from a left singular vector."""
-    cand_a = M @ w.conj() + s * w
-    cand_b = 1j * (M @ w.conj() - s * w)
-    cand = cand_a if np.linalg.norm(cand_a) >= np.linalg.norm(cand_b) else cand_b
-    return cand / np.linalg.norm(cand)
-
-
 def takagi(matrix: np.ndarray, tol: float = SYMMETRY_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Unitary congruence diagonalization of a complex symmetric matrix.
 
     Returns ``(U, a)`` with ``U M U^T = diag(a)`` and ``a`` nonnegative,
-    weakly decreasing.  Deflation by single con-eigenvectors handles
-    degenerate singular values.
+    weakly decreasing.  With ``M = A + iB`` the antilinear map
+    ``u -> M conj(u)`` acts on ``[Re u; Im u]`` as the real symmetric matrix
+    ``[[A, B], [B, -A]]``.  Its eigenvectors of eigenvalue ``s > 0`` are the
+    con-eigenvectors ``M conj(u) = s u``; they are orthonormal, degenerate
+    ``s`` included, because ``i u`` has eigenvalue ``-s``.  A complete QR
+    spans the directions with ``s = 0``.
     """
     M = np.asarray(matrix, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -105,36 +101,17 @@ def takagi(matrix: np.ndarray, tol: float = SYMMETRY_TOL) -> tuple[np.ndarray, n
     if np.max(np.abs(M - M.T)) > tol:
         raise NotSymmetric("matrix is not complex symmetric")
     N = M.shape[0]
-    columns: list[np.ndarray] = []
-    values: list[float] = []
     work = 0.5 * (M + M.T)
-    frame = np.eye(N, dtype=complex)  # columns: current subspace basis in C^N
-    while work.shape[0] > 0:
-        left, svals, _ = np.linalg.svd(work)
-        top = float(svals[0])
-        if top <= 1e-14:
-            for col in frame.T:
-                columns.append(col)
-                values.append(0.0)
-            break
-        u = _con_eigenvector(work, left[:, 0], top)
-        columns.append(frame @ u)
-        values.append(top)
-        # Deflate: the conjugated bilinear form restricted to u's complement.
-        Q = _orthonormal_complement_many(u[:, None])
-        work = Q.conj().T @ work @ Q.conj()
-        frame = frame @ Q
-    S = np.stack(columns, axis=1)
-    a = np.array(values)
-    order = np.argsort(-a, kind="stable")
-    S = S[:, order]
-    a = a[order]
-    U = S.conj().T
-    # Absorb residual phases so the diagonal is real nonnegative.
-    diag = np.diag(U @ M @ U.T)
-    phases = np.where(np.abs(diag) > 1e-14, np.exp(-0.5j * np.angle(diag)), 1.0)
-    U = phases[:, None] * U
-    return U, a
+    A, B = work.real, work.imag
+    vals, vecs = np.linalg.eigh(np.block([[A, B], [B, -A]]))
+    # The top N eigenvalues, descending, are the Takagi values.
+    a = vals[::-1][:N]
+    positive = a > 1e-14
+    k = int(np.sum(positive))
+    top = vecs[:, ::-1][:, :k]
+    S = top[:N] + 1j * top[N:]
+    Q, _ = np.linalg.qr(S, mode="complete")
+    return np.column_stack([S, Q[:, k:]]).conj().T, np.where(positive, a, 0.0)
 
 
 def antisym_canonical(

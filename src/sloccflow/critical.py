@@ -34,8 +34,7 @@ from .momentum import (
     psi,
 )
 from .morse import (
-    _complement_spectrum,
-    _critical_above,
+    _critical_spectrum,
     complement_hessian_spectrum,  # noqa: F401  (the benchmark tracer wraps this binding)
     index_from_spectrum,
     orbit_action_columns,
@@ -313,14 +312,14 @@ def classify_with_trace(
     point = momentum(terminal)
     lam = point.norm_sq()
     d = math.sqrt(max(lam, 0.0))
-    if _critical_above(terminal, lam, morse_tol):
-        # One frame and one compressed spectrum give the reported spectrum and
-        # the index; the frame's generator columns give the variance.
-        hess, frame = _complement_spectrum(terminal, point)
-        squares, means = _frame_moments(frame.base, frame.generator_columns)
-    else:
-        hess = np.zeros(0)
+    # One frame and one compressed spectrum give the reported spectrum and the
+    # index; the frame's generator columns give the variance.  The zero level
+    # builds no frame.
+    hess, frame = _critical_spectrum(terminal, point, morse_tol)
+    if frame is None:
         squares, means = _frame_moments(terminal)
+    else:
+        squares, means = _frame_moments(frame.base, frame.generator_columns)
     record = CriticalRecord(
         state=terminal,
         lambda_value=lam,

@@ -316,12 +316,17 @@ def demo_dicke(L: int, tol: float = 1e-10) -> DemoTable:
 
 def run_demo(name: str, args: list[str], seed: int = 0) -> list[DemoTable]:
     """Dispatch a named demo; numeric arguments follow the name."""
-    def _int(position: int, default: int | None = None) -> int:
+    def _int(position: int, minimum: int = 1, default: int | None = None) -> int:
         if position < len(args):
             try:
-                return int(args[position])
+                value = int(args[position])
             except ValueError as exc:
                 raise UnknownDemo(f"bad demo argument {args[position]!r}") from exc
+            if value < minimum:
+                raise UnknownDemo(
+                    f"demo {name!r} needs an argument >= {minimum}, got {value}"
+                )
+            return value
         if default is None:
             raise UnknownDemo(f"demo {name!r} needs an integer argument")
         return default
@@ -333,9 +338,9 @@ def run_demo(name: str, args: list[str], seed: int = 0) -> list[DemoTable]:
     if name == "four-qubit-families":
         return [demo_four_qubit_families()]
     if name == "bosons":
-        return [demo_bosons(_int(0), _int(1, 2))]
+        return [demo_bosons(_int(0), _int(1, default=2))]
     if name == "fermions":
-        return [demo_fermions(_int(0))]
+        return [demo_fermions(_int(0, minimum=2))]
     if name == "dicke":
         return [demo_dicke(_int(0))]
     raise UnknownDemo(

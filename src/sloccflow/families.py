@@ -18,9 +18,9 @@ from .critical import (
     qubit_weyl_grid,
     self_consistent_critical,
 )
-from .flow import FlowConfig, flow_to_critical
-from .momentum import SpectrumPoint, momentum, psi
-from .morse import morse_index
+from .flow import ZERO_STRATUM_MU2, FlowConfig, flow_to_critical
+from .momentum import SpectrumPoint, _ordered_spectra, momentum
+from .morse import _critical_spectrum, index_from_spectrum
 from .statespace import (
     PureState,
     basis_state,
@@ -47,14 +47,23 @@ class FamilyRecord:
         return self.d_value**2
 
 
-def _record(label: str, state: PureState, index_tol: float = 1e-8) -> FamilyRecord:
+def _record(
+    label: str,
+    state: PureState,
+    index_tol: float = 1e-8,
+    stratum: SpectrumPoint | None = None,
+) -> FamilyRecord:
+    """Record of a critical state; ``stratum`` overrides the ordered spectra."""
     state = normalize(state)
+    # One momentum image gives the level, the stratum and the index.
+    point = momentum(state)
+    hess, _ = _critical_spectrum(state, point, index_tol)
     return FamilyRecord(
         label=label,
         state=state,
-        stratum=psi(state),
-        d_value=math.sqrt(max(momentum(state).norm_sq(), 0.0)),
-        morse_index=morse_index(state, tol=index_tol),
+        stratum=_ordered_spectra(point) if stratum is None else stratum,
+        d_value=math.sqrt(max(point.norm_sq(), 0.0)),
+        morse_index=index_from_spectrum(hess),
     )
 
 
@@ -116,14 +125,9 @@ def dicke_families(L: int) -> list[FamilyRecord]:
     momentum image (at most half excited) represent the families.
     """
     sector = bosonic(L, 2)
-    out = []
-    for k in range(L + 1):
-        state = basis_state(sector, (L - k, k))
-        diag = momentum(state).matrices[0].diagonal().real
-        if diag[0] < diag[1] - 1e-12:
-            continue  # image below the chamber; equivalent to L-k excitations
-        out.append(_record(f"dicke-{k}", state))
-    return out
+    return [
+        _record(f"dicke-{k}", basis_state(sector, (L - k, k))) for k in range(L // 2 + 1)
+    ]
 
 
 def dicke_rho_eigenvalues(record: FamilyRecord) -> tuple[float, float]:
@@ -171,21 +175,14 @@ def scan_qubit_families(
             for state in states:
                 key = tuple(round(v, 9) for v in lambdas)
                 if key not in found:
-                    state = normalize(state)
                     # Label with the exact scanned chamber point; the
                     # self-consistency filter already pinned psi to it.
-                    found[key] = FamilyRecord(
-                        label=f"alpha={key}",
-                        state=state,
-                        stratum=alpha,
-                        d_value=math.sqrt(max(momentum(state).norm_sq(), 0.0)),
-                        morse_index=morse_index(state, tol=1e-6),
-                    )
+                    found[key] = _record(f"alpha={key}", state, 1e-6, stratum=alpha)
     zero_family = None
     rng = np.random.default_rng(seed)
     probe = random_state(sector, rng)
     terminal, _ = flow_to_critical(probe, config)
-    if momentum(terminal).norm_sq() < 1e-8:
+    if momentum(terminal).norm_sq() < ZERO_STRATUM_MU2:
         zero_family = FamilyRecord(
             label="alpha=0",
             state=terminal,

@@ -297,10 +297,6 @@ def stratum_label(state: PureState, config: FlowConfig | None = None) -> Spectru
     stratum.
     """
     terminal, _ = flow_to_critical(state, config)
-    return terminal_stratum(terminal)
-
-
-def terminal_stratum(terminal: PureState) -> SpectrumPoint:
     return _snapped_spectra(momentum(terminal))
 
 

@@ -114,9 +114,9 @@ def morse_index(
     eigenvalues of the frozen momentum operator strictly below the Rayleigh
     value, with a ``null_band`` guard for numerically flat directions.
     """
-    if not critical_above_zero_level(state, tol):
-        return 0
-    return index_from_spectrum(complement_hessian_spectrum(state), null_band)
+    state = normalize(state)
+    hess, _ = _critical_spectrum(state, momentum(state), tol)
+    return index_from_spectrum(hess, null_band)
 
 
 def index_from_spectrum(hess: np.ndarray, null_band: float = NULL_BAND) -> int:
@@ -124,25 +124,22 @@ def index_from_spectrum(hess: np.ndarray, null_band: float = NULL_BAND) -> int:
     return 2 * int(np.sum(hess < -null_band))
 
 
-def critical_above_zero_level(state: PureState, tol: float = 1e-8) -> bool:
-    """Whether the state lies above the zero level, where its index is counted.
+def _critical_spectrum(
+    state: PureState, point: MomentumPoint, tol: float = 1e-8
+) -> tuple[np.ndarray, TangentFrame | None]:
+    """Compressed spectrum and tangent frame of a unit state whose momentum image is ``point``.
 
-    Raises ``NotCritical`` there when the gradient norm exceeds ``tol``.
+    On the zero level the index is zero: the spectrum is empty and no frame
+    is built, and residual gradients of semistable terminals do not count
+    against criticality.  Above it, raises ``NotCritical`` when the gradient
+    norm exceeds ``tol``.
     """
-    state = normalize(state)
-    return _critical_above(state, momentum(state).norm_sq(), tol)
-
-
-def _critical_above(state: PureState, mu2: float, tol: float = 1e-8) -> bool:
-    """``critical_above_zero_level`` for a unit state whose ``||mu||^2`` is known."""
-    # At (or numerically inside) the zero level the index is zero; residual
-    # gradients of semistable terminals do not count against criticality.
-    if mu2 <= ZERO_STRATUM_MU2:
-        return False
+    if point.norm_sq() <= ZERO_STRATUM_MU2:
+        return np.zeros(0), None
     grad = gradient_norm(state)
     if grad > tol:
         raise NotCritical(f"gradient norm {grad:.3e} exceeds tolerance {tol:.1e}")
-    return True
+    return _complement_spectrum(state, point)
 
 
 def complement_hessian_spectrum(state: PureState) -> np.ndarray:

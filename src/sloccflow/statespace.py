@@ -398,8 +398,8 @@ def state_from_json(document: dict | str) -> PureState:
     try:
         sector = Sector(
             str(document["sector"]),
-            int(document["parties"]),
-            int(document["local_dim"]),
+            _header_count(document, "parties", 1),
+            _header_count(document, "local_dim", 2),
         )
         pairs = document["amplitudes"]
         amps = np.array([complex(re, im) for re, im in pairs], dtype=complex)
@@ -412,6 +412,18 @@ def state_from_json(document: dict | str) -> PureState:
             # Scale by the largest component first; that division cannot overflow.
             amps = amps / np.max(np.abs(amps.view(float)))
     return normalize(PureState(sector, amps))
+
+
+def _header_count(document: dict, field: str, minimum: int) -> int:
+    """A sector size from a state document: a JSON integer of at least ``minimum``."""
+    value = document[field]
+    # ``bool`` subclasses ``int``, but ``true`` is not a count.
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ShapeMismatch(
+            f"malformed state document: {field} must be an integer >= {minimum},"
+            f" got {value!r}"
+        )
+    return value
 
 
 def basis_state(sector: Sector, label: tuple[int, ...]) -> PureState:

@@ -122,6 +122,25 @@ class TestClassify:
             records.append(json.loads(capsys.readouterr().out)["record"])
         assert records[0] == records[1]
 
+    @pytest.mark.parametrize(
+        "header,field",
+        [
+            ({"parties": 3.9, "local_dim": 2}, "parties"),
+            ({"parties": True, "local_dim": 2}, "parties"),
+            ({"parties": "3", "local_dim": 2}, "parties"),
+            ({"parties": 0, "local_dim": 4, "sector": "fermionic"}, "parties"),
+            ({"parties": 2, "local_dim": 1}, "local_dim"),
+            ({"parties": 2, "local_dim": 2.0}, "local_dim"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["classify", "flow"])
+    def test_sector_header_validated(self, tmp_path, capsys, header, field, command):
+        doc = {"sector": "distinguishable", "amplitudes": [[1, 0]] * 8, **header}
+        path = tmp_path / "header.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 2
+        assert f"{field} must be an integer" in capsys.readouterr().err
+
     def test_not_converged_exit(self, ghz_class_file, capsys):
         assert main(["classify", ghz_class_file, "--max-iter", "2"]) == 3
 
@@ -177,6 +196,23 @@ class TestDemo:
 
     def test_unknown_demo(self, capsys):
         assert main(["demo", "nope"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv,bound",
+        [
+            (["bipartite", "0"], ">= 1"),
+            (["bipartite", "-3"], ">= 1"),
+            (["bosons", "0"], ">= 1"),
+            (["fermions", "0"], ">= 2"),
+            (["fermions", "1"], ">= 2"),
+        ],
+    )
+    def test_demo_size_bounds(self, capsys, argv, bound):
+        assert main(["demo", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert bound in err and "all rows pass" not in out
+        with pytest.raises(UnknownDemo, match=bound):
+            run_demo(argv[0], argv[1:])
 
     def test_run_demo_rejects_bad_args(self):
         with pytest.raises(UnknownDemo):

@@ -1,0 +1,82 @@
+"""Family records read their invariants the way ``classify`` does.
+
+Each record takes ``d``, the stratum and the Morse index from one momentum
+image of its representative, through the same index path as ``classify``.
+"""
+
+import importlib
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+from sloccflow.critical import classify
+from sloccflow.families import (
+    bipartite_families,
+    boson_pair_families,
+    dicke_families,
+    fermion_pair_families,
+    scan_qubit_families,
+)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+@pytest.mark.parametrize(
+    "families,size,images", [(bipartite_families, 3, 3), (dicke_families, 6, 4)]
+)
+def test_one_momentum_image_per_record(monkeypatch, families, size, images):
+    # ``sloccflow.momentum`` is the function; the module is looked up by name.
+    modules = [
+        importlib.import_module(f"sloccflow.{name}")
+        for name in ("critical", "families", "flow", "morse", "momentum")
+    ]
+    original = modules[-1].momentum
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        if getattr(module, "momentum", None) is original:
+            monkeypatch.setattr(module, "momentum", counting)
+    records = families(size)
+    assert len(records) == images
+    assert len(calls) == images
+
+
+def _records():
+    scan = scan_qubit_families(3, 6)
+    groups = {
+        "bipartite-3": bipartite_families(3),
+        "bosons-3": boson_pair_families(3),
+        "fermions-6": fermion_pair_families(6),
+        "dicke-6": dicke_families(6),
+        "scan-3": scan.families,
+    }
+    return [
+        pytest.param(rec, id=f"{group}-{rec.label}")
+        for group, records in groups.items()
+        for rec in records
+    ]
+
+
+@pytest.mark.parametrize("record", _records())
+def test_records_agree_with_classify(record):
+    got = classify(record.state)
+    assert got.d_value == pytest.approx(record.d_value, abs=1e-12)
+    assert got.morse_index == record.morse_index
+
+
+def test_readme_library_sketch_runs_as_commented():
+    text = README.read_text()
+    block = re.search(r"## Library sketch\s+```python\n(.*?)```", text, re.S).group(1)
+    namespace: dict = {}
+    exec(block, namespace)
+    commented = re.findall(r"^(\S.*?)\s+# ([\d/().a-z]+)$", block, re.M)
+    assert [value for _, value in commented] == ["1/6", "sqrt(1/6)", "2"]
+    for expression, value in commented:
+        want = eval(value, {"sqrt": math.sqrt})
+        assert eval(expression, namespace) == pytest.approx(want, abs=1e-8)
