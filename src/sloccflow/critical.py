@@ -22,6 +22,7 @@ from .flow import (
     ZERO_STRATUM_MU2,
     FlowConfig,
     FlowTrace,
+    _on_zero_level,
     _snapped_spectra,
     flow_to_critical,
     projected_gradient,
@@ -46,7 +47,6 @@ from .statespace import (
     normalize,
 )
 
-D_NULLCONE_THRESHOLD = math.sqrt(ZERO_STRATUM_MU2)
 DEGENERACY_REL_GAP = 1e-9
 SELF_CONSISTENCY_ACCEPT = 1e-16
 # Largest distance of a block eigenvalue from the level ``||alpha||^2`` at
@@ -165,13 +165,10 @@ def _marginal_feasible(report: EigenspaceReport, tol: float = 1e-9) -> bool:
     sector = report.alpha.sector
     spectra = np.concatenate(report.alpha.spectra)
     b = spectra + 1.0 / sector.local_dim
-    copies = sector.parties if sector.identical else 1
-    if abs(report.eigenvalue - copies * float(spectra @ b)) > LEVEL_TOL:
+    if abs(report.eigenvalue - sector.copies * float(spectra @ b)) > LEVEL_TOL:
         return False
     kets = np.argmax(np.abs(report.basis), axis=0)
-    rows = _ket_weights(sector)[:, kets]
-    if sector.identical:
-        rows = rows / sector.parties
+    rows = _ket_weights(sector)[:, kets] / sector.copies
     A = np.vstack([rows, np.ones(kets.size)])
     _, residual = nnls(A, np.append(b, 1.0))
     return residual <= tol
@@ -272,19 +269,18 @@ def orbit_dimension(state: PureState, rel_tol: float = 1e-10) -> int:
 def group_dimension(sector: Sector) -> int:
     """Real dimension of the invertible local-operations group."""
     N = sector.local_dim
-    copies = 1 if sector.identical else sector.parties
-    return 2 * (N * N - 1) * copies
+    return 2 * (N * N - 1) * sector.acting
 
 
 def stability_class(state: PureState, config: FlowConfig | None = None) -> Stability:
     """Null cone / semistable / stable, via flow distance and orbit dimension."""
     terminal, _ = flow_to_critical(state, config)
-    d = math.sqrt(max(momentum(terminal).norm_sq(), 0.0))
-    return _stability_from(d, state)
+    return _stability_from(momentum(terminal).norm_sq(), state)
 
 
-def _stability_from(d_value: float, state: PureState) -> Stability:
-    if d_value > D_NULLCONE_THRESHOLD:
+def _stability_from(lam: float, state: PureState) -> Stability:
+    """Stability of ``state`` whose flow ends at level ``lam``."""
+    if not _on_zero_level(lam):
         return Stability.NULLCONE
     if orbit_dimension(state) == group_dimension(state.sector):
         return Stability.STABLE
@@ -327,7 +323,7 @@ def classify_with_trace(
         variance=squares - means,
         stratum=_snapped_spectra(point),
         morse_index=index_from_spectrum(hess),
-        stability=_stability_from(d, state),
+        stability=_stability_from(lam, state),
         hessian_spectrum=tuple(float(x) for x in hess),
     )
     return record, trace

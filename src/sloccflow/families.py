@@ -18,7 +18,7 @@ from .critical import (
     qubit_weyl_grid,
     self_consistent_critical,
 )
-from .flow import ZERO_STRATUM_MU2, FlowConfig, flow_to_critical
+from .flow import FlowConfig, _on_zero_level, flow_to_critical
 from .momentum import SpectrumPoint, _ordered_spectra, momentum
 from .morse import _critical_spectrum, index_from_spectrum
 from .statespace import (
@@ -182,7 +182,7 @@ def scan_qubit_families(
     rng = np.random.default_rng(seed)
     probe = random_state(sector, rng)
     terminal, _ = flow_to_critical(probe, config)
-    if momentum(terminal).norm_sq() < ZERO_STRATUM_MU2:
+    if _on_zero_level(momentum(terminal).norm_sq()):
         zero_family = FamilyRecord(
             label="alpha=0",
             state=terminal,

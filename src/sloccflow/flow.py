@@ -109,60 +109,49 @@ def _expm_traceless_hermitian(matrix: np.ndarray, scale: float) -> np.ndarray:
     return (vecs * np.exp(scale * vals)) @ vecs.conj().T
 
 
-class _FlowEngine:
-    """Raw-array flow state for one sector; avoids value-type overhead."""
-
-    def __init__(self, sector: Sector):
-        L = sector.parties
-        self.sector = sector
-        # Identical particles keep one density, which acts once per particle.
-        self.count, self.copies = (1, L) if sector.identical else (L, 1)
-        self.scale = float(self.copies)
-
-    def mu2(self, mats: list[np.ndarray]) -> float:
-        total = sum(float(np.sum(np.abs(m) ** 2)) for m in mats)
-        return self.scale**2 * total
-
-    def gradient(
-        self, mats: list[np.ndarray], tensor: np.ndarray, amps: np.ndarray
-    ) -> tuple[np.ndarray, float]:
-        """Projected coadjoint image and its Rayleigh value."""
-        image = self.scale * _project(self.sector, _one_body(mats * self.copies, tensor))
-        lam = float(np.vdot(amps, image).real)
-        return image - lam * amps, lam
-
-    def advance(
-        self, mats: list[np.ndarray], tensor: np.ndarray, step: float
-    ) -> np.ndarray:
-        """Apply exp(-step * coadjoint) per party and renormalize."""
-        factors = [
-            _expm_traceless_hermitian(m, -step * self.scale) for m in mats
-        ]
-        out = tensor
-        for p, mat in enumerate(factors * self.copies):
-            out = _apply_on_axis(mat, out, p)
-        flat = _project(self.sector, out)
-        return flat / np.linalg.norm(flat)
+def _mu2(sector: Sector, mats: list[np.ndarray]) -> float:
+    """``||mu||^2`` of the shifted densities; each acts on ``copies`` axes."""
+    return sector.copies**2 * sum(float(np.sum(np.abs(m) ** 2)) for m in mats)
 
 
-def _start(state: PureState) -> tuple[_FlowEngine, np.ndarray, np.ndarray]:
-    """Engine, unit amplitudes and tensor of a state."""
-    engine = _FlowEngine(state.sector)
+def _gradient(
+    sector: Sector, mats: list[np.ndarray], tensor: np.ndarray, amps: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Projected coadjoint image and its Rayleigh value."""
+    image = sector.copies * _project(sector, _one_body(mats * sector.copies, tensor))
+    lam = float(np.vdot(amps, image).real)
+    return image - lam * amps, lam
+
+
+def _advance(
+    sector: Sector, mats: list[np.ndarray], tensor: np.ndarray, step: float
+) -> np.ndarray:
+    """Apply exp(-step * coadjoint) per acting factor and renormalize."""
+    factors = [_expm_traceless_hermitian(m, -step * sector.copies) for m in mats]
+    out = tensor
+    for p, mat in enumerate(factors * sector.copies):
+        out = _apply_on_axis(mat, out, p)
+    flat = _project(sector, out)
+    return flat / np.linalg.norm(flat)
+
+
+def _start(state: PureState) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Unit amplitudes, tensor and shifted densities of a state."""
     amps = normalize(state).amplitudes
-    return engine, amps, _embed(state.sector, amps)
+    tensor = _embed(state.sector, amps)
+    return amps, tensor, _shifted_densities(tensor, state.sector.acting)
 
 
 def flow_step(state: PureState, step: float) -> PureState:
     """One exact exponential step down the momentum-norm gradient."""
-    engine, _, tensor = _start(state)
-    mats = _shifted_densities(tensor, engine.count)
-    return PureState(state.sector, engine.advance(mats, tensor, step))
+    _, tensor, mats = _start(state)
+    return PureState(state.sector, _advance(state.sector, mats, tensor, step))
 
 
 def projected_gradient(state: PureState) -> tuple[np.ndarray, float]:
     """Gradient vector ``P(mu* v)`` at the normalized state and ``<v|mu* v>``."""
-    engine, amps, tensor = _start(state)
-    return engine.gradient(_shifted_densities(tensor, engine.count), tensor, amps)
+    amps, tensor, mats = _start(state)
+    return _gradient(state.sector, mats, tensor, amps)
 
 
 def gradient_norm(state: PureState) -> float:
@@ -210,17 +199,17 @@ def flow_to_critical(
     cap.
     """
     config = config or FlowConfig()
-    engine, amps, tensor = _start(state)
+    sector = state.sector
+    amps, tensor, mats = _start(state)
     trace = FlowTrace()
     step = config.step_size
-    mats = _shifted_densities(tensor, engine.count)
-    mu2 = engine.mu2(mats)
+    mu2 = _mu2(sector, mats)
     direction = [m.copy() for m in mats]
-    margin = weight_margin(state.sector)
+    margin = weight_margin(sector)
     gate_mu2 = -math.inf if margin is None else MARGIN_GATE * margin
     iteration = 0
     while True:
-        grad, _ = engine.gradient(mats, tensor, amps)
+        grad, _ = _gradient(sector, mats, tensor, amps)
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < trace.best_grad_norm:
             trace.best_grad_norm = grad_norm
@@ -237,7 +226,7 @@ def flow_to_critical(
         ):
             trace.samples.append((iteration, mu2, grad_norm))
         if stopped:
-            trace.terminal = PureState(state.sector, amps)
+            trace.terminal = PureState(sector, amps)
             trace.converged = True
             trace.stopped_on = stopped
             return trace.terminal, trace
@@ -250,10 +239,10 @@ def flow_to_critical(
             move_direction, move_step = direction, step
         else:
             move_direction, move_step = mats, min(step, config.step_size)
-        trial = engine.advance(move_direction, tensor, move_step)
-        trial_tensor = _embed(state.sector, trial)
-        trial_mats = _shifted_densities(trial_tensor, engine.count)
-        trial_mu2 = engine.mu2(trial_mats)
+        trial = _advance(sector, move_direction, tensor, move_step)
+        trial_tensor = _embed(sector, trial)
+        trial_mats = _shifted_densities(trial_tensor, sector.acting)
+        trial_mu2 = _mu2(sector, trial_mats)
         # Accept non-increase within rounding noise: true decreases near a
         # nonzero critical value fall below float resolution of mu2 itself.
         slack = 1e-13 * max(1.0, mu2)
@@ -269,7 +258,7 @@ def flow_to_critical(
             direction = [m.copy() for m in mats]
             step = max(step * 0.25, 1e-9 * config.step_size)
         iteration += 1
-    trace.terminal = PureState(state.sector, amps)
+    trace.terminal = PureState(sector, amps)
     trace.converged = False
     raise NotConverged(
         f"gradient norm {trace.samples[-1][2]:.3e} above tolerance "
@@ -293,17 +282,22 @@ def stratum_label(state: PureState, config: FlowConfig | None = None) -> Spectru
     """Spectrum label of the flow terminal; snapped to zero below threshold.
 
     Semistable states only approach the zero level asymptotically, so
-    terminals with ``||mu||^2 < ZERO_STRATUM_MU2`` are reported as the zero
+    terminals with ``||mu||^2 <= ZERO_STRATUM_MU2`` are reported as the zero
     stratum.
     """
     terminal, _ = flow_to_critical(state, config)
     return _snapped_spectra(momentum(terminal))
 
 
+def _on_zero_level(mu2: float) -> bool:
+    """Whether ``||mu||^2`` counts as the zero level, where semistable orbits end."""
+    return mu2 <= ZERO_STRATUM_MU2
+
+
 def _snapped_spectra(point: MomentumPoint) -> SpectrumPoint:
-    """Ordered spectra of a momentum image; zero below ``ZERO_STRATUM_MU2``."""
+    """Ordered spectra of a momentum image; zero on the zero level."""
     label = _ordered_spectra(point)
-    if point.norm_sq() < ZERO_STRATUM_MU2:
+    if _on_zero_level(point.norm_sq()):
         return SpectrumPoint(
             point.sector, tuple(np.zeros_like(s) for s in label.spectra)
         )
@@ -328,9 +322,8 @@ def one_param_limit(
     sector = state.sector
     N = sector.local_dim
     vectors = [np.asarray(v, dtype=float).reshape(-1) for v in np.atleast_2d(exponents)]
-    expected = 1 if sector.identical else sector.parties
-    if len(vectors) != expected:
-        raise ShapeMismatch(f"need {expected} exponent vectors, got {len(vectors)}")
+    if len(vectors) != sector.acting:
+        raise ShapeMismatch(f"need {sector.acting} exponent vectors, got {len(vectors)}")
     for v in vectors:
         if v.shape[0] != N:
             raise ShapeMismatch("exponent vector length must equal the local dim")

@@ -13,6 +13,7 @@ constant and ``<v|mu* v> = ||mu||^2`` holds in every sector.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,9 +40,14 @@ def gell_mann_frame(local_dim: int) -> np.ndarray:
     """Trace-orthonormal Hermitian traceless basis of ``su(N)``-observables.
 
     Generalized Gell-Mann matrices scaled so that ``tr(xi_i xi_j) = delta_ij``;
-    shape ``(N*N - 1, N, N)``.
+    shape ``(N*N - 1, N, N)``.  Raises ShapeMismatch for ``N < 2``, where
+    ``su(N)`` is trivial and a sector has no local operations.
     """
     N = local_dim
+    if N < 2:
+        raise ShapeMismatch(
+            f"local dimension {N} admits no local operations: su({N}) is trivial"
+        )
     mats: list[np.ndarray] = []
     for k in range(N):
         for j in range(k):
@@ -82,9 +88,7 @@ class MomentumPoint:
         The diagonal action of identical particles contributes one copy of
         the shared matrix per particle, hence the factor ``L``.
         """
-        if self.sector.identical:
-            return [self.sector.parties * self.matrices[0]]
-        return list(self.matrices)
+        return [self.sector.copies * m for m in self.matrices]
 
     def norm_sq(self) -> float:
         return float(
@@ -130,9 +134,8 @@ class SpectrumPoint:
     def validate_weyl_chamber(self, tol: float = 1e-10) -> None:
         """Check one weakly decreasing spectrum per party, shifting into [0, 1]."""
         sector = self.sector
-        count = 1 if sector.identical else sector.parties
-        if len(self.spectra) != count:
-            raise NotInWeylChamber(f"expected {count} spectra, got {len(self.spectra)}")
+        if len(self.spectra) != sector.acting:
+            raise NotInWeylChamber(f"expected {sector.acting} spectra, got {len(self.spectra)}")
         N = sector.local_dim
         if any(s.shape != (N,) for s in self.spectra):
             raise NotInWeylChamber("spectrum length does not match local dim")
@@ -198,8 +201,7 @@ def reduced_density(state: PureState, party: int = 0) -> np.ndarray:
 def momentum(state: PureState) -> MomentumPoint:
     """Momentum image: shifted reduced density per party (one if identical)."""
     sector = state.sector
-    count = 1 if sector.identical else sector.parties
-    return MomentumPoint(sector, tuple(_shifted_densities(state.to_tensor(), count)))
+    return MomentumPoint(sector, tuple(_shifted_densities(state.to_tensor(), sector.acting)))
 
 
 def _mu_star(
@@ -244,11 +246,11 @@ def mu_norm_sq(state: PureState) -> float:
 # are in, 5 qubits, 4 qutrits, 2 ququarts and ``fermionic(2, 7)`` and up
 # are out.
 MARGIN_MAX_SUBSETS = 10_000
-# Squared distance of a weight from the span of its subset below which the
-# weight counts as dependent.  Over the 39 sectors with a margin among up to
+# Smallest Gram eigenvalue of a weight subset at or below which the subset
+# counts as linearly dependent.  Over the 44 sectors with a margin among up to
 # 5 distinguishable parties (N <= 4), bosons (L <= 10, N <= 5) and fermions
-# (N <= 8), genuine distances are at least 6.8e-3 and rounding residues at
-# most 3e-14.
+# (N <= 8), genuine eigenvalues are at least 6.8e-3 and rounding residues at
+# most 3.6e-15.
 MARGIN_PIVOT_TOL = 1e-9
 
 
@@ -268,64 +270,35 @@ def weight_margin(sector: Sector) -> float | None:
     coordinates.  Such a subset with a nonzero point is linearly independent
     (a linear dependence among affinely independent points puts the origin in
     their affine hull), so only linearly independent subsets are visited; they
-    have at most ``N - 1`` weights per acting party.  For those, with Gram matrix ``G``,
-    ``||beta||^2 = 1 / (1' G^-1 1)`` and the barycentric coordinates are
-    ``G^-1 1 / (1' G^-1 1)``.  Subsets grow one weight at a time, carrying
-    the Cholesky factor of ``G`` and ``y = chol^-1 1``; a weight within
-    ``MARGIN_PIVOT_TOL`` of the span of its subset ends that branch, since
-    every superset is dependent too.
+    have at most ``N - 1`` weights per acting factor.  For those, with Gram
+    matrix ``G`` and ``x = G^-1 1``, ``||beta||^2 = 1 / sum(x)`` and the
+    barycentric coordinates are ``x / sum(x)``.  Each subset size is solved
+    in one batch over the subsets whose smallest Gram eigenvalue exceeds
+    ``MARGIN_PIVOT_TOL``.
 
     Returns None when the sector has more than ``MARGIN_MAX_SUBSETS`` subsets
     of that size or less, or no nonzero candidate.  Cached per sector.
     """
     N, kets = sector.local_dim, sector.dim
-    copies, acting = (sector.parties, 1) if sector.identical else (1, sector.parties)
     # The weights span at most the diagonal traceless matrices of each acting
-    # party: N - 1 dimensions per party, one party for identical particles.
-    rank = (N - 1) * acting
+    # factor: N - 1 dimensions each.
+    rank = (N - 1) * sector.acting
     if sum(math.comb(kets, k) for k in range(1, rank + 1)) > MARGIN_MAX_SUBSETS:
         return None
-    weights = _ket_weights(sector) - copies / N
+    weights = _ket_weights(sector) - sector.copies / N
     gram = weights.T @ weights
-    diag = np.diag(gram)
-    # One row per subset: ket indices in increasing order, the Cholesky
-    # factor of the subset's Gram matrix and ``y = chol^-1 1``.
-    subsets = np.flatnonzero(diag > MARGIN_PIVOT_TOL)[:, None]
-    chol = np.sqrt(diag[subsets])[:, :, None]
-    y = 1.0 / chol[:, :, 0]
-    levels = [diag[subsets[:, 0]]]
-    for k in range(1, rank):
-        # Every child appends one ket past the parent's last one.
-        last = subsets[:, -1]
-        counts = kets - 1 - last
-        parent = np.repeat(np.arange(len(subsets)), counts)
-        offset = np.arange(parent.size) - (np.cumsum(counts) - counts)[parent]
-        new = last[parent] + 1 + offset
-        # Forward substitution: the new row of the Cholesky factor.
-        col = gram[subsets[parent], new[:, None]]
-        fac = chol[parent]
-        row = np.empty_like(col)
-        for i in range(k):
-            row[:, i] = (col[:, i] - np.sum(fac[:, i, :i] * row[:, :i], axis=1)) / fac[:, i, i]
-        pivot_sq = diag[new] - np.sum(row * row, axis=1)
-        keep = pivot_sq > MARGIN_PIVOT_TOL
-        parent, new, row, fac = parent[keep], new[keep], row[keep], fac[keep]
-        pivot = np.sqrt(pivot_sq[keep])
-        subsets = np.column_stack([subsets[parent], new])
-        y = np.column_stack([y[parent], (1.0 - np.sum(row * y[parent], axis=1)) / pivot])
-        chol = np.zeros((len(subsets), k + 1, k + 1))
-        chol[:, :k, :k] = fac
-        chol[:, k, :k] = row
-        chol[:, k, k] = pivot
-        # Back substitution: ``G^-1 1 = chol^-T y``, the unnormalized
-        # barycentric coordinates, which sum to ``s = 1' G^-1 1``.
-        bary = np.empty_like(y)
-        for i in range(k, -1, -1):
-            tail = np.sum(chol[:, i + 1 :, i] * bary[:, i + 1 :], axis=1)
-            bary[:, i] = (y[:, i] - tail) / chol[:, i, i]
-        s = np.sum(y * y, axis=1)
-        # Keep points inside the hull: ``bary / s >= 0`` up to rounding.
-        inside = np.all(bary >= -MARGIN_PIVOT_TOL * s[:, None], axis=1)
+    levels = [np.zeros(0)]
+    for k in range(1, min(rank, kets) + 1):
+        subsets = np.array(list(itertools.combinations(range(kets), k)))
+        grams = gram[subsets[:, :, None], subsets[:, None, :]]
+        grams = grams[np.linalg.eigvalsh(grams)[:, 0] > MARGIN_PIVOT_TOL]
+        if not len(grams):
+            # Every larger subset contains a dependent one.
+            break
+        x = np.linalg.solve(grams, np.ones((len(grams), k, 1)))[:, :, 0]
+        s = x.sum(axis=1)
+        # Keep points inside the hull: ``x / s >= 0`` up to rounding.
+        inside = np.all(x >= -MARGIN_PIVOT_TOL * s[:, None], axis=1)
         levels.append(1.0 / s[inside])
     candidates = np.concatenate(levels)
     return float(candidates.min()) if candidates.size else None
@@ -436,7 +409,7 @@ def polygonal_check(spectra: SpectrumPoint, tol: float = 1e-12) -> tuple[bool, l
     sector = spectra.sector
     if sector.local_dim != 2:
         raise NotQubitSector("polygonal inequalities apply to qubit sectors only")
-    per_party = list(spectra.spectra) * (sector.parties if sector.identical else 1)
+    per_party = list(spectra.spectra) * sector.copies
     minima = [0.5 + float(s[-1]) for s in per_party]
     total = sum(minima)
     violated = [i for i, p in enumerate(minima) if p > total - p + tol]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotCritical
-from .flow import ZERO_STRATUM_MU2, gradient_norm
+from .flow import _on_zero_level, gradient_norm
 from .momentum import (
     MomentumPoint,
     _generator_columns,
@@ -134,7 +134,7 @@ def _critical_spectrum(
     against criticality.  Above it, raises ``NotCritical`` when the gradient
     norm exceeds ``tol``.
     """
-    if point.norm_sq() <= ZERO_STRATUM_MU2:
+    if _on_zero_level(point.norm_sq()):
         return np.zeros(0), None
     grad = gradient_norm(state)
     if grad > tol:
@@ -222,7 +222,7 @@ def morse_index_fd(
 ) -> int:
     """Morse index from the finite-difference oracle alone."""
     state = normalize(state)
-    if momentum(state).norm_sq() <= ZERO_STRATUM_MU2:
+    if _on_zero_level(momentum(state).norm_sq()):
         return 0
     H = hessian_fd_oracle(state, h=h)
     if H.size == 0:

@@ -69,6 +69,16 @@ class Sector:
         return self.kind != DISTINGUISHABLE
 
     @property
+    def acting(self) -> int:
+        """Independent local factors: one per party, one for identical particles."""
+        return 1 if self.identical else self.parties
+
+    @property
+    def copies(self) -> int:
+        """Tensor axes each local factor acts on: all of them for identical particles."""
+        return self.parties if self.identical else 1
+
+    @property
     def dim(self) -> int:
         L, N = self.parties, self.local_dim
         if self.kind == DISTINGUISHABLE:
@@ -318,18 +328,14 @@ def _axis_matrices(sector: Sector, mats: list[np.ndarray]) -> list[np.ndarray]:
     Distinguishable parties take one matrix each; identical particles take a
     single matrix, which acts on every axis (the diagonal action).
     """
-    L, N = sector.parties, sector.local_dim
+    N = sector.local_dim
     mats = [np.asarray(m, dtype=complex) for m in mats]
-    if sector.identical:
-        if len(mats) != 1:
-            raise ShapeMismatch("identical particles take a single matrix")
-        mats = mats * L
-    elif len(mats) != L:
-        raise ShapeMismatch(f"need one matrix per party, got {len(mats)}")
+    if len(mats) != sector.acting:
+        raise ShapeMismatch(f"need {sector.acting} matrices for {sector}, got {len(mats)}")
     for m in mats:
         if m.shape != (N, N):
             raise ShapeMismatch(f"matrix shape {m.shape} does not match N={N}")
-    return mats
+    return mats * sector.copies
 
 
 def apply_local(ops: list[LocalOperator] | LocalOperator, state: PureState) -> PureState:

@@ -23,12 +23,19 @@ from sloccflow.critical import (
     self_consistent_critical,
     stability_class,
 )
-from sloccflow.errors import NotInWeylChamber
+from sloccflow.errors import NotInWeylChamber, ShapeMismatch
 from sloccflow.families import scan_qubit_families
-from sloccflow.momentum import SpectrumPoint, momentum, psi, total_variance
+from sloccflow.momentum import (
+    SpectrumPoint,
+    gell_mann_frame,
+    momentum,
+    psi,
+    total_variance,
+)
 from sloccflow.morse import morse_index
 from sloccflow.statespace import (
     LocalOperator,
+    PureState,
     apply_local,
     bosonic,
     distinguishable,
@@ -576,3 +583,19 @@ class TestChamberBlocks:
         assert 0 < len(calls) == at_level
         # 11 of 954 blocks at this denominator (29 of 50 900 at 12).
         assert len(calls) < 0.02 * blocks
+
+
+class TestTrivialLocalDimension:
+    """With one level per particle there is no local operation to act with."""
+
+    @pytest.mark.parametrize("sector", [distinguishable(2, 1), bosonic(3, 1), fermionic(1, 1)])
+    @pytest.mark.parametrize("call", [classify, total_variance, orbit_dimension])
+    def test_raises_shape_mismatch(self, sector, call):
+        state = PureState(sector, np.ones(sector.dim))
+        with pytest.raises(ShapeMismatch, match="no local operations"):
+            call(state)
+
+    def test_frame_needs_two_levels(self):
+        with pytest.raises(ShapeMismatch, match="no local operations"):
+            gell_mann_frame(1)
+        assert gell_mann_frame(2).shape == (3, 2, 2)

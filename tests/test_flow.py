@@ -24,7 +24,9 @@ from sloccflow.flow import (
     slocc_distance,
     stratum_label,
 )
-from sloccflow.momentum import momentum, mu_norm_sq, psi, weight_margin
+from sloccflow.critical import _stability_from
+from sloccflow.momentum import MomentumPoint, momentum, mu_norm_sq, psi, weight_margin
+from sloccflow.morse import _critical_spectrum
 from sloccflow.statespace import (
     LocalOperator,
     PureState,
@@ -334,3 +336,33 @@ class TestTraceSerialization:
         assert len(lines) == len(trace.samples)
         first = json.loads(lines[0])
         assert set(first) == {"iteration", "mu_norm_sq", "grad_norm"}
+
+
+class TestZeroLevelPredicate:
+    """The stratum label, the index and the stability read one zero-level test."""
+
+    @staticmethod
+    def _point_and_state(a: float):
+        sector = distinguishable(1, 2)
+        point = MomentumPoint(sector, (np.diag([a, -a]).astype(complex),))
+        # Every state of one party is critical; the point is given separately.
+        return point, PureState(sector, [1.0, 0.0])
+
+    def test_the_threshold_itself_is_on_the_zero_level(self):
+        point, state = self._point_and_state(math.sqrt(5e-9))
+        assert point.norm_sq() == flow.ZERO_STRATUM_MU2
+        assert flow._on_zero_level(point.norm_sq())
+        assert flow._snapped_spectra(point).is_zero(tol=0.0)
+        hess, frame = _critical_spectrum(state, point)
+        assert hess.size == 0 and frame is None
+        assert _stability_from(point.norm_sq(), state) is not Stability.NULLCONE
+
+    def test_just_above_the_threshold_is_not(self):
+        point, state = self._point_and_state(math.sqrt(5.000001e-9))
+        assert point.norm_sq() > flow.ZERO_STRATUM_MU2
+        assert not flow._on_zero_level(point.norm_sq())
+        assert not flow._snapped_spectra(point).is_zero(tol=0.0)
+        # The nonzero branch builds a frame; one party's orbit fills the tangent.
+        hess, frame = _critical_spectrum(state, point)
+        assert frame is not None and hess.size == 0
+        assert _stability_from(point.norm_sq(), state) is Stability.NULLCONE

@@ -6,6 +6,7 @@ import pytest
 
 from sloccflow.errors import NotInWeylChamber, NotQubitSector, ShapeMismatch
 from sloccflow.momentum import (
+    MARGIN_PIVOT_TOL,
     SpectrumPoint,
     _generator_columns,
     casimir_constant,
@@ -450,3 +451,30 @@ class TestWeightMargin:
     @pytest.mark.parametrize("parties", [5, 10])
     def test_none_above_the_subset_bound(self, parties):
         assert weight_margin(distinguishable(parties, 2)) is None
+
+
+class TestWeightMarginPivot:
+    SECTORS = (
+        [distinguishable(L, N) for L in range(2, 6) for N in range(2, 5)]
+        + [bosonic(L, N) for L in range(2, 11) for N in range(2, 6)]
+        + [fermionic(L, N) for N in range(2, 9) for L in range(1, N)]
+    )
+
+    def test_subset_grams_are_far_from_the_pivot_tolerance(self):
+        """Each subset Gram matrix is clearly invertible or singular up to rounding."""
+        assert 1e-12 < MARGIN_PIVOT_TOL < 1e-3
+        with_margin = [s for s in self.SECTORS if weight_margin(s) is not None]
+        assert len(with_margin) == 44
+        for sector in with_margin:
+            weights = _ket_weights(sector) - sector.copies / sector.local_dim
+            gram = weights.T @ weights
+            rank = (sector.local_dim - 1) * sector.acting
+            for k in range(1, min(rank, sector.dim) + 1):
+                subsets = np.array(list(combinations(range(sector.dim), k)))
+                grams = gram[subsets[:, :, None], subsets[:, None, :]]
+                smallest = np.linalg.eigvalsh(grams)[:, 0]
+                assert np.all((smallest >= 1e-3) | (smallest <= 1e-12)), (sector, k)
+
+    @pytest.mark.parametrize("sector", [fermionic(0, 3), fermionic(3, 3), bosonic(2, 1)])
+    def test_no_margin_when_every_weight_is_zero(self, sector):
+        assert weight_margin(sector) is None

@@ -15,6 +15,7 @@ from sloccflow.momentum import mu_star_apply
 from sloccflow.statespace import (
     LocalOperator,
     PureState,
+    _axis_matrices,
     apply_local,
     basis_state,
     bosonic,
@@ -83,6 +84,23 @@ class TestSector:
         assert bosonic(2, 4).dim == 10
         assert fermionic(2, 4).dim == 6
         assert fermionic(3, 6).dim == 20
+
+    @pytest.mark.parametrize(
+        "sector,acting,copies",
+        [
+            (distinguishable(1, 2), 1, 1),
+            (distinguishable(4, 3), 4, 1),
+            (bosonic(1, 3), 1, 1),
+            (bosonic(5, 2), 1, 5),
+            (fermionic(2, 4), 1, 2),
+            (fermionic(4, 4), 1, 4),
+            (fermionic(0, 3), 1, 0),
+        ],
+    )
+    def test_acting_factors_and_their_copies(self, sector, acting, copies):
+        assert (sector.acting, sector.copies) == (acting, copies)
+        # The factors' copies cover the tensor's axes exactly once.
+        assert sector.acting * sector.copies == sector.parties
 
     def test_fermionic_needs_enough_modes(self):
         with pytest.raises(ValueError):
@@ -312,3 +330,21 @@ class TestJson:
         v = random_state(fermionic(2, 4), rng)
         again = state_from_json(v.to_json())
         assert np.max(np.abs(again.amplitudes - v.amplitudes)) < 1e-15
+
+
+class TestAxisMatrices:
+    @pytest.mark.parametrize(
+        "sector,count",
+        [
+            (distinguishable(3, 2), 1),
+            (distinguishable(3, 2), 2),
+            (distinguishable(3, 2), 4),
+            (bosonic(3, 2), 0),
+            (bosonic(3, 2), 3),
+            (fermionic(2, 4), 2),
+        ],
+    )
+    def test_rejects_a_wrong_matrix_count(self, sector, count):
+        mats = [np.eye(sector.local_dim)] * count
+        with pytest.raises(ShapeMismatch, match=f"need {sector.acting} matrices"):
+            _axis_matrices(sector, mats)
