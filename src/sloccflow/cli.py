@@ -84,11 +84,15 @@ def _add_flow_flags(parser: argparse.ArgumentParser) -> None:
         "--format",
         choices=("json", "csv"),
         default="json",
-        help="output format where applicable",
+        help="json only: csv applies to demo",
     )
 
 
 def _config_from(args: argparse.Namespace) -> FlowConfig:
+    if args.format != "json":
+        raise ValueError(
+            f"--format {args.format} applies to demo only; {args.command} writes JSON"
+        )
     return FlowConfig(
         step_size=args.step,
         tolerance=args.tol,

@@ -29,7 +29,7 @@ from .flow import (
 )
 from .momentum import (
     SpectrumPoint,
-    _frame_moments,
+    casimir_constant,
     momentum,
     mu_star_apply,
     psi,
@@ -304,23 +304,19 @@ def classify_with_trace(
 ) -> tuple[CriticalRecord, FlowTrace]:
     state = normalize(state)
     terminal, trace = flow_to_critical(state, config)
-    # One momentum image gives the level, the stratum and the zero-level test.
+    # One momentum image gives the level, the variance (``Var + ||mu||^2`` is
+    # constant on the sector), the stratum and the zero-level test.
     point = momentum(terminal)
     lam = point.norm_sq()
     d = math.sqrt(max(lam, 0.0))
-    # One frame and one compressed spectrum give the reported spectrum and the
-    # index; the frame's generator columns give the variance.  The zero level
-    # builds no frame.
-    hess, frame = _critical_spectrum(terminal, point, morse_tol)
-    if frame is None:
-        squares, means = _frame_moments(terminal)
-    else:
-        squares, means = _frame_moments(frame.base, frame.generator_columns)
+    # One compressed spectrum gives the reported spectrum and the index; the
+    # zero level builds no frame.
+    hess = _critical_spectrum(terminal, point, morse_tol)
     record = CriticalRecord(
         state=terminal,
         lambda_value=lam,
         d_value=d,
-        variance=squares - means,
+        variance=casimir_constant(terminal.sector) - lam,
         stratum=_snapped_spectra(point),
         morse_index=index_from_spectrum(hess),
         stability=_stability_from(lam, state),

@@ -57,7 +57,7 @@ def _record(
     state = normalize(state)
     # One momentum image gives the level, the stratum and the index.
     point = momentum(state)
-    hess, _ = _critical_spectrum(state, point, index_tol)
+    hess = _critical_spectrum(state, point, index_tol)
     return FamilyRecord(
         label=label,
         state=state,

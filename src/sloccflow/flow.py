@@ -32,6 +32,7 @@ from .errors import Divergent, NotConverged, ShapeMismatch, ZeroState
 from .momentum import (
     MomentumPoint,
     SpectrumPoint,
+    _norm_sq,
     _one_body,
     _ordered_spectra,
     _shifted_densities,
@@ -107,11 +108,6 @@ def _expm_traceless_hermitian(matrix: np.ndarray, scale: float) -> np.ndarray:
         return math.cosh(sa) * np.eye(2) + (math.sinh(sa) / a) * matrix
     vals, vecs = np.linalg.eigh(matrix)
     return (vecs * np.exp(scale * vals)) @ vecs.conj().T
-
-
-def _mu2(sector: Sector, mats: list[np.ndarray]) -> float:
-    """``||mu||^2`` of the shifted densities; each acts on ``copies`` axes."""
-    return sector.copies**2 * sum(float(np.sum(np.abs(m) ** 2)) for m in mats)
 
 
 def _gradient(
@@ -203,7 +199,7 @@ def flow_to_critical(
     amps, tensor, mats = _start(state)
     trace = FlowTrace()
     step = config.step_size
-    mu2 = _mu2(sector, mats)
+    mu2 = _norm_sq(sector, mats)
     direction = [m.copy() for m in mats]
     margin = weight_margin(sector)
     gate_mu2 = -math.inf if margin is None else MARGIN_GATE * margin
@@ -242,7 +238,7 @@ def flow_to_critical(
         trial = _advance(sector, move_direction, tensor, move_step)
         trial_tensor = _embed(sector, trial)
         trial_mats = _shifted_densities(trial_tensor, sector.acting)
-        trial_mu2 = _mu2(sector, trial_mats)
+        trial_mu2 = _norm_sq(sector, trial_mats)
         # Accept non-increase within rounding noise: true decreases near a
         # nonzero critical value fall below float resolution of mu2 itself.
         slack = 1e-13 * max(1.0, mu2)

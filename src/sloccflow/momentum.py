@@ -91,9 +91,7 @@ class MomentumPoint:
         return [self.sector.copies * m for m in self.matrices]
 
     def norm_sq(self) -> float:
-        return float(
-            sum((m * m.conj()).sum().real for m in self.coadjoint_matrices())
-        )
+        return _norm_sq(self.sector, self.matrices)
 
     def to_json(self) -> dict:
         return {
@@ -172,6 +170,15 @@ def _shifted_densities(tensor: np.ndarray, count: int) -> list[np.ndarray]:
     """
     shift = np.eye(tensor.shape[0]) / tensor.shape[0]
     return [_density(tensor, p) - shift for p in range(count)]
+
+
+def _norm_sq(sector: Sector, mats: list[np.ndarray]) -> float:
+    """``||mu||^2`` of shifted densities; each acts on ``copies`` axes.
+
+    The one formula of the level, read by ``MomentumPoint.norm_sq`` and by
+    the flow loop.
+    """
+    return sector.copies**2 * sum(float((np.abs(m) ** 2).sum()) for m in mats)
 
 
 def _one_body(mats: list[np.ndarray], tensor: np.ndarray) -> np.ndarray:
@@ -339,28 +346,28 @@ def _generator_columns(sector: Sector, x: np.ndarray) -> np.ndarray:
     return _project(sector, np.stack(parts, axis=-1))
 
 
-def _frame_moments(
-    state: PureState, cols: np.ndarray | None = None
-) -> tuple[float, float]:
+def _frame_moments(state: PureState) -> tuple[float, float]:
     """``sum_i <X_i^2>`` and ``sum_i <X_i>^2`` over the local observable frame.
 
     Both come from the columns ``X_i v``: ``<X_i^2> = ||X_i v||^2 / ||v||^2``
-    and ``<X_i> = Re <v|X_i v> / ||v||^2``.  ``cols`` are the state's
-    ``_generator_columns`` when the caller has built them already.
+    and ``<X_i> = Re <v|X_i v> / ||v||^2``.
     """
     v = state.amplitudes
     norm_sq = float(np.vdot(v, v).real)
     if norm_sq <= 0.0:
         raise ShapeMismatch("cannot reduce a zero state")
-    if cols is None:
-        cols = _generator_columns(state.sector, v)
+    cols = _generator_columns(state.sector, v)
     squares = float(np.vdot(cols, cols).real) / norm_sq
     means = float(np.sum((v.conj() @ cols).real ** 2)) / norm_sq**2
     return squares, means
 
 
 def total_variance(state: PureState) -> float:
-    """Sum of variances of the full local observable frame in the state."""
+    """Sum of variances of the full local observable frame in the state.
+
+    The direct frame computation; ``classify`` reads the same quantity off
+    the level as ``casimir_constant(sector) - ||mu||^2``.
+    """
     squares, means = _frame_moments(state)
     return squares - means
 

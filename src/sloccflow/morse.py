@@ -42,11 +42,8 @@ def orbit_action_columns(state: PureState) -> np.ndarray:
     algebra is closed under multiplication by ``i``.
     """
     v = state.amplitudes
-    return _projected(v, _generator_columns(state.sector, v))
-
-
-def _projected(v: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Columns with their component along the unit vector ``v`` removed."""
+    cols = _generator_columns(state.sector, v)
+    # Remove each column's component along the unit vector ``v``.
     return cols - np.outer(v, v.conj() @ cols)
 
 
@@ -57,14 +54,11 @@ class TangentFrame:
     ``orbit_complex`` and ``complement_complex`` hold complex-orthonormal
     column bases; the corresponding real-orthonormal frames are the pairs
     ``{u, iu}`` exposed by ``orbit_basis`` / ``complement_basis``.
-    ``generator_columns`` are the unprojected columns ``X_i v`` the split was
-    computed from, which also give the total variance at the base.
     """
 
     base: PureState
     orbit_complex: np.ndarray
     complement_complex: np.ndarray
-    generator_columns: np.ndarray
 
     @staticmethod
     def _realify(columns: np.ndarray) -> list[np.ndarray]:
@@ -91,8 +85,7 @@ def orbit_tangent_frame(state: PureState, rel_tol: float = FRAME_REL_TOL) -> Tan
     state = normalize(state)
     v = state.amplitudes
     dim = state.sector.dim
-    cols = _generator_columns(state.sector, v)
-    U, s, _ = np.linalg.svd(_projected(v, cols), full_matrices=False)
+    U, s, _ = np.linalg.svd(orbit_action_columns(state), full_matrices=False)
     rank = int(np.sum(s > (s[0] if s.size and s[0] > 0 else 1.0) * rel_tol))
     orbit = U[:, :rank]
     # Complete the base point and the orbit directions to a unitary; the
@@ -100,7 +93,7 @@ def orbit_tangent_frame(state: PureState, rel_tol: float = FRAME_REL_TOL) -> Tan
     Q, R = np.linalg.qr(np.column_stack([v, orbit]), mode="complete")
     if rank + 1 > dim or np.any(np.abs(np.diag(R)[: rank + 1]) < 0.5):
         raise RuntimeError("tangent frame construction lost dimensions")
-    return TangentFrame(state, orbit, Q[:, rank + 1 :], cols)
+    return TangentFrame(state, orbit, Q[:, rank + 1 :])
 
 
 def morse_index(
@@ -115,8 +108,7 @@ def morse_index(
     value, with a ``null_band`` guard for numerically flat directions.
     """
     state = normalize(state)
-    hess, _ = _critical_spectrum(state, momentum(state), tol)
-    return index_from_spectrum(hess, null_band)
+    return index_from_spectrum(_critical_spectrum(state, momentum(state), tol), null_band)
 
 
 def index_from_spectrum(hess: np.ndarray, null_band: float = NULL_BAND) -> int:
@@ -126,8 +118,8 @@ def index_from_spectrum(hess: np.ndarray, null_band: float = NULL_BAND) -> int:
 
 def _critical_spectrum(
     state: PureState, point: MomentumPoint, tol: float = 1e-8
-) -> tuple[np.ndarray, TangentFrame | None]:
-    """Compressed spectrum and tangent frame of a unit state whose momentum image is ``point``.
+) -> np.ndarray:
+    """Compressed spectrum of a unit state whose momentum image is ``point``.
 
     On the zero level the index is zero: the spectrum is empty and no frame
     is built, and residual gradients of semistable terminals do not count
@@ -135,7 +127,7 @@ def _critical_spectrum(
     norm exceeds ``tol``.
     """
     if _on_zero_level(point.norm_sq()):
-        return np.zeros(0), None
+        return np.zeros(0)
     grad = gradient_norm(state)
     if grad > tol:
         raise NotCritical(f"gradient norm {grad:.3e} exceeds tolerance {tol:.1e}")
@@ -148,28 +140,22 @@ def complement_hessian_spectrum(state: PureState) -> np.ndarray:
     Each entry counts twice in the Morse index when negative (pair ``u, iu``).
     """
     state = normalize(state)
-    return _complement_spectrum(state, momentum(state))[0]
+    return _complement_spectrum(state, momentum(state))
 
 
-def _complement_spectrum(
-    state: PureState, point: MomentumPoint
-) -> tuple[np.ndarray, TangentFrame]:
-    """``complement_hessian_spectrum`` of a state whose momentum image is ``point``.
-
-    Also returns the tangent frame it was computed in, whose generator
-    columns serve the caller's other invariants at the same state.
-    """
+def _complement_spectrum(state: PureState, point: MomentumPoint) -> np.ndarray:
+    """``complement_hessian_spectrum`` of a state whose momentum image is ``point``."""
     frame = orbit_tangent_frame(state)
     C = frame.complement_complex
     if C.shape[1] == 0:
-        return np.zeros(0), frame
+        return np.zeros(0)
     # The frozen momentum operator acts matrix-free on [v, C]: <v|M v> and M C.
     v = frame.base.amplitudes
     image = _mu_star(point, state.sector, np.column_stack([v, C]))
     lam = float(np.vdot(v, image[:, 0]).real)
     compressed = C.conj().T @ image[:, 1:]
     eigs = np.linalg.eigvalsh(0.5 * (compressed + compressed.conj().T))
-    return 2.0 * (eigs - lam), frame
+    return 2.0 * (eigs - lam)
 
 
 def hessian_fd_oracle(

@@ -92,6 +92,12 @@ class TestClassify:
         assert main(["classify", str(w3_file), *flag]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["classify", "flow"])
+    def test_csv_format_is_an_input_error(self, w3_file, command, capsys):
+        assert main([command, str(w3_file), "--format", "csv"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "demo only" in err
+
     def test_unallocatable_embedding_is_an_input_error(self, tmp_path, capsys):
         # A well-formed 40-boson qubit document: its 2^40 x 41 embedding
         # cannot be allocated, which the CLI reports as an input error.

@@ -24,9 +24,15 @@ from sloccflow.critical import (
     stability_class,
 )
 from sloccflow.errors import NotInWeylChamber, ShapeMismatch
-from sloccflow.families import scan_qubit_families
+from sloccflow.families import (
+    bipartite_rank_state,
+    boson_pair_state,
+    fermion_pair_state,
+    scan_qubit_families,
+)
 from sloccflow.momentum import (
     SpectrumPoint,
+    casimir_constant,
     gell_mann_frame,
     momentum,
     psi,
@@ -38,12 +44,14 @@ from sloccflow.statespace import (
     PureState,
     apply_local,
     bosonic,
+    dicke,
     distinguishable,
     fermionic,
+    normalize,
     random_state,
 )
 
-from conftest import haar_unitary, qubits
+from conftest import haar_unitary, qubits, random_special_linear
 
 
 class TestIsCritical:
@@ -358,15 +366,13 @@ class TestClassify:
         }
 
 
-    # On the zero level the second column build is the input's orbit
-    # dimension, which decides stable against semistable.
+    # The one column build is the terminal's tangent frame above the zero
+    # level, and on it the input's orbit dimension, which decides stable
+    # against semistable.  The variance is read off the level and builds none.
     @pytest.mark.parametrize(
-        "amps,nonzero,builds",
-        [([0, 2, 1, 0, 1, 0, 0, 0], True, 1), ([2, 0, 0, 0, 0, 0, 0, 1], False, 2)],
+        "amps,nonzero", [([0, 2, 1, 0, 1, 0, 0, 0], True), ([2, 0, 0, 0, 0, 0, 0, 1], False)]
     )
-    def test_one_momentum_image_and_one_column_build(
-        self, monkeypatch, amps, nonzero, builds
-    ):
+    def test_one_momentum_image_and_one_column_build(self, monkeypatch, amps, nonzero):
         # ``sloccflow.momentum`` is the function; the module is looked up by name.
         modules = [
             importlib.import_module(f"sloccflow.{name}")
@@ -388,8 +394,34 @@ class TestClassify:
                     monkeypatch.setattr(module, name, counting(name))
         record, _ = critical.classify_with_trace(qubits(amps, 3))
         assert (record.lambda_value > 0.1) is nonzero
-        assert calls == {"momentum": 1, "_generator_columns": builds}
+        assert calls == {"momentum": 1, "_generator_columns": 1}
         assert record.variance == pytest.approx(total_variance(record.state), abs=1e-12)
+
+    # (state, on the zero level), each moved by a random invertible local map.
+    VARIANCE_CASES = {
+        "qutrit-pair-rank-2": (lambda: bipartite_rank_state(3, 2), False),
+        "qutrit-pair-rank-3": (lambda: bipartite_rank_state(3, 3), True),
+        "dicke-4-1": (lambda: dicke(1, 4), False),
+        "dicke-4-2": (lambda: dicke(2, 4), True),
+        "boson-pair-3-1": (lambda: boson_pair_state(3, 1), False),
+        "boson-pair-3-3": (lambda: boson_pair_state(3, 3), True),
+        "fermion-pair-4-1": (lambda: fermion_pair_state(4, 1), False),
+        "fermion-pair-4-2": (lambda: fermion_pair_state(4, 2), True),
+    }
+
+    @pytest.mark.parametrize("case", sorted(VARIANCE_CASES))
+    def test_variance_read_off_the_level_matches_the_frame(self, rng, case):
+        build, zero_level = self.VARIANCE_CASES[case]
+        state = build()
+        sector = state.sector
+        ops = [
+            LocalOperator(p, random_special_linear(rng, sector.local_dim, 0.3))
+            for p in range(sector.acting)
+        ]
+        record = classify(normalize(apply_local(ops, state)))
+        assert (record.lambda_value <= 1e-8) is zero_level
+        c = casimir_constant(sector)
+        assert abs(record.variance - total_variance(record.state)) <= 1e-12 * c
 
 
 class TestWeylGrid:

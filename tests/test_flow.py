@@ -9,7 +9,7 @@ from sloccflow.canonical import (
     four_qubit_family_parts,
     gabcd_span_distance,
 )
-from sloccflow import flow
+from sloccflow import flow, morse
 from sloccflow.critical import Stability, classify_with_trace
 from sloccflow.demos import FOUR_QUBIT_DEMO_PARAMS
 from sloccflow.errors import Divergent, NotConverged, ShapeMismatch
@@ -348,21 +348,34 @@ class TestZeroLevelPredicate:
         # Every state of one party is critical; the point is given separately.
         return point, PureState(sector, [1.0, 0.0])
 
-    def test_the_threshold_itself_is_on_the_zero_level(self):
+    @staticmethod
+    def _frames_built(monkeypatch, state, point):
+        """The compressed spectrum and the number of tangent frames it built."""
+        frames = []
+        original = morse.orbit_tangent_frame
+
+        def counting(*args, **kwargs):
+            frames.append(original(*args, **kwargs))
+            return frames[-1]
+
+        monkeypatch.setattr(morse, "orbit_tangent_frame", counting)
+        return _critical_spectrum(state, point), len(frames)
+
+    def test_the_threshold_itself_is_on_the_zero_level(self, monkeypatch):
         point, state = self._point_and_state(math.sqrt(5e-9))
         assert point.norm_sq() == flow.ZERO_STRATUM_MU2
         assert flow._on_zero_level(point.norm_sq())
         assert flow._snapped_spectra(point).is_zero(tol=0.0)
-        hess, frame = _critical_spectrum(state, point)
-        assert hess.size == 0 and frame is None
+        hess, frames = self._frames_built(monkeypatch, state, point)
+        assert hess.size == 0 and frames == 0
         assert _stability_from(point.norm_sq(), state) is not Stability.NULLCONE
 
-    def test_just_above_the_threshold_is_not(self):
+    def test_just_above_the_threshold_is_not(self, monkeypatch):
         point, state = self._point_and_state(math.sqrt(5.000001e-9))
         assert point.norm_sq() > flow.ZERO_STRATUM_MU2
         assert not flow._on_zero_level(point.norm_sq())
         assert not flow._snapped_spectra(point).is_zero(tol=0.0)
         # The nonzero branch builds a frame; one party's orbit fills the tangent.
-        hess, frame = _critical_spectrum(state, point)
-        assert frame is not None and hess.size == 0
+        hess, frames = self._frames_built(monkeypatch, state, point)
+        assert hess.size == 0 and frames == 1
         assert _stability_from(point.norm_sq(), state) is Stability.NULLCONE

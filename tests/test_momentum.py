@@ -177,6 +177,16 @@ class TestMuStar:
             M = mu_star_matrix(point, sector)
             assert np.max(np.abs(M @ v.amplitudes - mu_star_apply(point, v))) < 1e-12
 
+    @pytest.mark.parametrize(
+        "sector", [distinguishable(3, 2), bosonic(3, 3), fermionic(2, 4)], ids=str
+    )
+    def test_spectrum_point_acts_as_its_diagonal_matrices(self, rng, sector):
+        v = random_state(sector, rng)
+        point = psi(v)
+        image = mu_star_apply(point, v)
+        assert np.max(np.abs(image)) > 0.1
+        np.testing.assert_array_equal(image, mu_star_apply(point.as_diagonal_matrices(), v))
+
 
 class TestNormAndVariance:
     def test_mu_norm_examples(self, ghz3, w3, sep3):

@@ -11,6 +11,8 @@ import importlib.util
 import re
 from pathlib import Path
 
+import numpy as np
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -44,5 +46,29 @@ def test_classify_small_operations_pass_oracle():
     ]
     assert len(ops) == 5 + 3 + 6
     for op in ops:
+        result = worker.run_operation(op, worker.sloccflow.state_from_json(op["state"]))
+        assert oracle.check(op, result) == [], op["id"]
+
+
+def test_identical_sector_operations_pass_oracle():
+    # Every pair operation of the workload, and moved Dicke states with
+    # L <= 4, which the workload (L >= 5, a known defect) does not reach.
+    # ``dicke-4-1`` is a moved W_4, the known defect ``w4-moved-*``.
+    generate, worker, oracle = _load("generate"), _load("worker"), _load("oracle")
+    ops = [
+        op
+        for op in generate.generate("identical-sectors", 3)
+        if re.fullmatch(r"(?:boson|fermion)_pair-\d+-\d+", op["id"])
+    ]
+    assert len(ops) == 10 + 7
+    rng = np.random.default_rng(3)
+    for L, k in ((3, 0), (3, 1), (4, 0), (4, 2)):
+        g = generate.random_special_linear(rng, 2, generate.DICKE_SPREAD)
+        ops.append(
+            generate._op(f"dicke-{L}-{k}", {"kind": "dicke", "L": L, "k": k},
+                         generate._document("bosonic", L, 2, generate.moved_dicke(g, L, k)))
+        )
+    for op in ops:
+        assert oracle.known_defect(op["id"]) is None, op["id"]
         result = worker.run_operation(op, worker.sloccflow.state_from_json(op["state"]))
         assert oracle.check(op, result) == [], op["id"]
