@@ -24,8 +24,8 @@ from .errors import (
 from .statespace import (
     DISTINGUISHABLE,
     PureState,
-    _apply_on_axis,
     _frozen,
+    _local_product,
     distinguishable,
     normalize,
 )
@@ -223,9 +223,7 @@ def acin_form(
                 if norm > 0.0:
                     vectors[p] = c / norm
             unitaries = [_row_unitary(a) for a in vectors]
-            out = tensor
-            for p, u in enumerate(unitaries):
-                out = _apply_on_axis(u, out, p)
+            out = _local_product(sector, unitaries, tensor)
             residual = float(np.linalg.norm([out[0, 0, 1], out[0, 1, 0], out[1, 0, 0]]))
             lowest = min(lowest, residual)
             if residual <= residual_target:

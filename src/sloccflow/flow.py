@@ -33,7 +33,6 @@ from .momentum import (
     MomentumPoint,
     SpectrumPoint,
     _norm_sq,
-    _one_body,
     _ordered_spectra,
     _shifted_densities,
     momentum,
@@ -43,8 +42,9 @@ from .statespace import (
     LocalOperator,
     PureState,
     Sector,
-    _apply_on_axis,
     _embed,
+    _local_product,
+    _one_body,
     _project,
     apply_local,
     normalize,
@@ -114,7 +114,7 @@ def _gradient(
     sector: Sector, mats: list[np.ndarray], tensor: np.ndarray, amps: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Projected coadjoint image and its Rayleigh value."""
-    image = sector.copies * _project(sector, _one_body(mats * sector.copies, tensor))
+    image = sector.copies * _project(sector, _one_body(sector, mats, tensor))
     lam = float(np.vdot(amps, image).real)
     return image - lam * amps, lam
 
@@ -124,10 +124,7 @@ def _advance(
 ) -> np.ndarray:
     """Apply exp(-step * coadjoint) per acting factor and renormalize."""
     factors = [_expm_traceless_hermitian(m, -step * sector.copies) for m in mats]
-    out = tensor
-    for p, mat in enumerate(factors * sector.copies):
-        out = _apply_on_axis(mat, out, p)
-    flat = _project(sector, out)
+    flat = _project(sector, _local_product(sector, factors, tensor))
     return flat / np.linalg.norm(flat)
 
 

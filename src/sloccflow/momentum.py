@@ -26,12 +26,13 @@ from .statespace import (
     DISTINGUISHABLE,
     PureState,
     Sector,
-    _apply_on_axis,
     _axis_matrices,
     _embed,
+    _factor_one_body,
     _frozen,
     _ket_weights,
     _matricize,
+    _one_body,
     _project,
 )
 
@@ -181,14 +182,6 @@ def _norm_sq(sector: Sector, mats: list[np.ndarray]) -> float:
     return sector.copies**2 * sum(float((np.abs(m) ** 2).sum()) for m in mats)
 
 
-def _one_body(mats: list[np.ndarray], tensor: np.ndarray) -> np.ndarray:
-    """``sum_p I x..x M_p x..x I`` on a tensor; trailing batch axes allowed."""
-    total = np.zeros_like(tensor)
-    for p, mat in enumerate(mats):
-        total += _apply_on_axis(mat, tensor, p)
-    return total
-
-
 def reduced_density(state: PureState, party: int = 0) -> np.ndarray:
     """Reduced one-particle density matrix of a normalized state.
 
@@ -221,8 +214,7 @@ def _mu_star(
         point = point.coadjoint_matrices()
     elif isinstance(point, SpectrumPoint):
         point = point.as_diagonal_matrices()
-    mats = _axis_matrices(sector, point)
-    return _project(sector, _one_body(mats, _embed(sector, x)))
+    return _project(sector, _one_body(sector, _axis_matrices(sector, point), _embed(sector, x)))
 
 
 def mu_star_apply(
@@ -315,34 +307,24 @@ def weight_margin(sector: Sector) -> float | None:
 def represented_generators(sector: Sector) -> np.ndarray:
     """Local observable frame represented on the sector basis.
 
-    For distinguishable particles the array has shape
-    ``(parties, N*N-1, dim, dim)`` holding each party's embedded generators;
-    for identical particles shape ``(1, N*N-1, dim, dim)`` holding the
-    diagonal-action generators.
+    Shape ``(acting, N*N-1, dim, dim)``: each acting factor's embedded
+    generators, one factor per party for distinguishable particles and the
+    single diagonal action for identical ones.
     """
-    L, N = sector.parties, sector.local_dim
-    frame = gell_mann_frame(N)
-    if sector.identical:
-        return _frozen(np.stack([mu_star_matrix([xi], sector) for xi in frame])[None])
-    eye = _embed(sector, np.eye(sector.dim, dtype=complex))
-    return _frozen([
-        [_project(sector, _apply_on_axis(xi, eye, p)) for xi in frame] for p in range(L)
-    ])
+    K, dim = sector.local_dim**2 - 1, sector.dim
+    cols = _generator_columns(sector, np.eye(dim, dtype=complex))
+    return _frozen(cols.transpose(2, 0, 1).reshape(sector.acting, K, dim, dim))
 
 
 def _generator_columns(sector: Sector, x: np.ndarray) -> np.ndarray:
     """``X x`` for every represented frame generator ``X``, one column each.
 
-    Columns follow ``represented_generators``: each party's generators in turn
-    for distinguishable particles, the diagonal action of each generator for
-    identical ones.
+    Columns follow ``represented_generators``: each acting factor's generators
+    in turn, after any trailing batch axes of ``x``.
     """
     tensor = _embed(sector, x)
     frame = gell_mann_frame(sector.local_dim)
-    if sector.identical:
-        parts = [_one_body(_axis_matrices(sector, [xi]), tensor) for xi in frame]
-    else:
-        parts = [_apply_on_axis(xi, tensor, p) for p in range(sector.parties) for xi in frame]
+    parts = [_factor_one_body(sector, xi, a, tensor) for a in range(sector.acting) for xi in frame]
     return _project(sector, np.stack(parts, axis=-1))
 
 

@@ -259,23 +259,26 @@ class LocalOperator:
 
 
 def _embed(sector: Sector, x: np.ndarray) -> np.ndarray:
-    """Sector amplitudes ``x`` as a tensor ``(N,)*L``; a trailing batch axis is kept.
+    """Sector amplitudes ``x`` as a tensor ``(N,)*L``; trailing batch axes are kept.
 
     Distinguishable amplitudes are only reshaped; identical-particle ones go
     through the embedding isometry in one GEMM.
     """
+    batch = x.shape[1:]
     if sector.identical:
-        x = embedding_isometry(sector) @ x
-    return x.reshape((sector.local_dim,) * sector.parties + x.shape[1:])
+        x = embedding_isometry(sector) @ x.reshape(sector.dim, math.prod(batch))
+    return x.reshape((sector.local_dim,) * sector.parties + batch)
 
 
 def _project(sector: Sector, t: np.ndarray) -> np.ndarray:
-    """Sector amplitudes of a tensor ``(N,)*L``; a trailing batch axis is kept.
+    """Sector amplitudes of a tensor ``(N,)*L``; trailing batch axes are kept.
 
     The adjoint of ``_embed``: the isometry is real, so its transpose.
     """
-    flat = t.reshape((sector.local_dim**sector.parties,) + t.shape[sector.parties :])
-    return embedding_isometry(sector).T @ flat if sector.identical else flat
+    batch = t.shape[sector.parties :]
+    flat = t.reshape(sector.local_dim**sector.parties, math.prod(batch))
+    flat = embedding_isometry(sector).T @ flat if sector.identical else flat
+    return flat.reshape((sector.dim,) + batch)
 
 
 def state_from_tensor(sector: Sector, tensor: np.ndarray) -> PureState:
@@ -323,11 +326,7 @@ def _apply_on_axis(mat: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _axis_matrices(sector: Sector, mats: list[np.ndarray]) -> list[np.ndarray]:
-    """One validated ``N x N`` matrix per axis of the sector's tensor.
-
-    Distinguishable parties take one matrix each; identical particles take a
-    single matrix, which acts on every axis (the diagonal action).
-    """
+    """One validated complex ``N x N`` matrix per acting factor of the sector."""
     N = sector.local_dim
     mats = [np.asarray(m, dtype=complex) for m in mats]
     if len(mats) != sector.acting:
@@ -335,7 +334,34 @@ def _axis_matrices(sector: Sector, mats: list[np.ndarray]) -> list[np.ndarray]:
     for m in mats:
         if m.shape != (N, N):
             raise ShapeMismatch(f"matrix shape {m.shape} does not match N={N}")
-    return mats * sector.copies
+    return mats
+
+
+def _local_product(sector: Sector, mats: list[np.ndarray], tensor: np.ndarray) -> np.ndarray:
+    """The group action ``M_1 x ... x M_L`` on a tensor; trailing batch axes are kept.
+
+    One matrix per acting factor, each on its ``Sector.copies`` axes.
+    """
+    out = tensor
+    for p, mat in enumerate(mats * sector.copies):
+        out = _apply_on_axis(mat, out, p)
+    return out
+
+
+def _one_body(sector: Sector, mats: list[np.ndarray], tensor: np.ndarray) -> np.ndarray:
+    """The algebra action ``sum_p I x..x M_p x..x I``, one matrix per acting factor."""
+    total = np.zeros_like(tensor)
+    for p, mat in enumerate(mats * sector.copies):
+        total += _apply_on_axis(mat, tensor, p)
+    return total
+
+
+def _factor_one_body(sector: Sector, mat: np.ndarray, factor: int, x: np.ndarray) -> np.ndarray:
+    """``_one_body`` with ``mat`` in acting factor ``factor`` and zero elsewhere."""
+    total = np.zeros_like(x)
+    for p in range(factor, sector.parties, sector.acting):
+        total += _apply_on_axis(mat, x, p)
+    return total
 
 
 def apply_local(ops: list[LocalOperator] | LocalOperator, state: PureState) -> PureState:
@@ -352,10 +378,7 @@ def apply_local(ops: list[LocalOperator] | LocalOperator, state: PureState) -> P
     if not sector.identical and sorted(op.party for op in ops) != list(range(L)):
         raise ShapeMismatch(f"need exactly one operator per party 0..{L - 1}")
     mats = _axis_matrices(sector, [op.matrix for op in sorted(ops, key=lambda o: o.party)])
-    out = state.to_tensor()
-    for p, mat in enumerate(mats):
-        out = _apply_on_axis(mat, out, p)
-    return state_from_tensor(sector, out)
+    return state_from_tensor(sector, _local_product(sector, mats, state.to_tensor()))
 
 
 def dicke(k: int, parties: int) -> PureState:

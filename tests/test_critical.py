@@ -331,6 +331,32 @@ class TestStability:
         v = four_qubit_family("L_abc2", (1.0, 1.0, 1.0))
         assert stability_class(v) is Stability.SEMISTABLE
 
+    # Binary forms as symmetric qubit states: the coefficient of
+    # ``x^n1 y^n2`` over ``sqrt(C(L, n1))`` is the amplitude of ``(n1, n2)``.
+    # A root of multiplicity exactly ``L/2`` makes a form strictly
+    # semistable: its orbit is not closed (the closure holds the orbit of
+    # ``x^(L/2) y^(L/2)``), so it is not stable although its stabilizer is
+    # finite.  The flow ends on the zero level at d ~ 3e-5 with full orbit
+    # dimension, which ``_stability_from`` reads as stable.
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the stability class checks the stabilizer only, not whether the orbit is closed",
+    )
+    @pytest.mark.parametrize(
+        "parties,coefficients",
+        [(4, {3: 1, 2: -1}), (6, {5: 1, 4: -3, 3: 2})],
+        ids=["x2y(x-y)", "x3y(x-y)(x-2y)"],
+    )
+    def test_strictly_semistable_binary_form_not_stable(self, parties, coefficients):
+        sector = bosonic(parties, 2)
+        amps = [
+            coefficients.get(n1, 0) / math.sqrt(math.comb(parties, n1))
+            for n1, _ in sector.basis_labels()
+        ]
+        v = normalize(PureState(sector, np.array(amps, dtype=complex)))
+        assert classify(v).stability is not Stability.STABLE
+
 
 class TestClassify:
     def test_w_record(self, w3):

@@ -33,6 +33,7 @@ from sloccflow.statespace import (
     apply_local,
     bosonic,
     distinguishable,
+    fermionic,
     normalize,
     random_state,
 )
@@ -60,19 +61,22 @@ class TestFlowStep:
         assert mu_norm_sq(flow_step(v, 0.1)) < mu_norm_sq(v)
 
     def test_orbit_confinement(self, rng):
-        # The step must equal applying explicit unit-determinant factors.
-        v = random_state(distinguishable(3, 2), rng)
+        # The step must equal applying explicit unit-determinant factors; an
+        # identical-particle factor acts on every axis.
         step = 0.05
-        factors = []
-        for m in momentum(v).coadjoint_matrices():
-            vals, vecs = np.linalg.eigh(m)
-            factor = (vecs * np.exp(-step * vals)) @ vecs.conj().T
-            assert abs(np.linalg.det(factor) - 1.0) < 1e-12
-            factors.append(factor)
-        manual = normalize(
-            apply_local([LocalOperator(p, f) for p, f in enumerate(factors)], v)
-        )
-        assert flow_step(v, step).overlap_distance(manual) < 1e-10
+        for sector in (distinguishable(3, 2), bosonic(3, 3), fermionic(2, 4)):
+            v = random_state(sector, rng)
+            factors = []
+            for m in momentum(v).coadjoint_matrices():
+                vals, vecs = np.linalg.eigh(m)
+                factor = (vecs * np.exp(-step * vals)) @ vecs.conj().T
+                assert abs(np.linalg.det(factor) - 1.0) < 1e-12
+                factors.append(factor)
+            manual = normalize(
+                apply_local([LocalOperator(p, f) for p, f in enumerate(factors)], v)
+            )
+            assert manual.overlap_distance(v) > 1e-3
+            assert flow_step(v, step).overlap_distance(manual) < 1e-10
 
     def test_monotone_for_small_steps(self, rng):
         for sector in (distinguishable(3, 2), bosonic(3, 2)):

@@ -1,11 +1,30 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sloccflow
 from sloccflow import morse
 from sloccflow.critical import classify_with_trace
-from sloccflow.statespace import _apply_on_axis
+from sloccflow.statespace import (
+    _apply_on_axis,
+    _embed,
+    _factor_one_body,
+    _local_product,
+    _one_body,
+    _project,
+    bosonic,
+    distinguishable,
+    fermionic,
+)
 
 LETTERS = "abcdefg"
+KINDS = [distinguishable(3, 2), bosonic(3, 3), fermionic(2, 4)]
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 @pytest.mark.parametrize("N", [2, 3])
@@ -37,3 +56,59 @@ def test_classify_builds_one_tangent_frame(monkeypatch, w3):
     assert record.lambda_value > 0.1
     assert record.morse_index == 2
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("sector", KINDS, ids=str)
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_local_action_matches_einsum(rng, sector, batch):
+    # One matrix per acting factor; an identical-particle factor acts on
+    # every axis.
+    L, N = sector.parties, sector.local_dim
+    x = _complex(rng, (N,) * L + batch)
+    mats = [_complex(rng, (N, N)) for _ in range(sector.acting)]
+    per_axis = [mats[0]] * L if sector.identical else mats
+    rows, cols = LETTERS.upper()[:L], LETTERS[:L]
+    tail = "z" * len(batch)
+    terms = ",".join(r + c for r, c in zip(rows, cols))
+    want = np.einsum(f"{terms},{cols}{tail}->{rows}{tail}", *per_axis, x)
+    got = _local_product(sector, mats, x)
+    assert got.shape == x.shape
+    assert np.max(np.abs(got - want)) < 1e-12
+    want = sum(
+        np.einsum(f"Z{cols[p]},{cols}{tail}->{cols[:p]}Z{cols[p + 1:]}{tail}", m, x)
+        for p, m in enumerate(per_axis)
+    )
+    got = _one_body(sector, mats, x)
+    assert got.shape == x.shape
+    assert np.max(np.abs(got - want)) < 1e-12
+    by_factor = sum(_factor_one_body(sector, m, a, x) for a, m in enumerate(mats))
+    assert np.max(np.abs(by_factor - want)) < 1e-12
+
+
+@pytest.mark.parametrize("sector", KINDS, ids=str)
+@pytest.mark.parametrize("batch", [(), (2,), (2, 3)])
+def test_project_inverts_embed(rng, sector, batch):
+    x = _complex(rng, (sector.dim,) + batch)
+    t = _embed(sector, x)
+    assert t.shape == (sector.local_dim,) * sector.parties + batch
+    for index in np.ndindex(*batch):
+        column = (slice(None),) + index
+        assert np.max(np.abs(t[(Ellipsis,) + index] - _embed(sector, x[column]))) < 1e-15
+    back = _project(sector, t)
+    assert back.shape == x.shape
+    assert np.max(np.abs(back - x)) < 1e-12
+
+
+def test_only_statespace_applies_matrices_to_axes():
+    # The local action has one kernel: every other module goes through the
+    # product and one-body primitives of ``statespace``.
+    users = set()
+    for path in sorted(Path(sloccflow.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if isinstance(node, ast.ImportFrom):
+                names += [alias.name for alias in node.names]
+            if "_apply_on_axis" in names:
+                users.add(path.name)
+    assert users == {"statespace.py"}

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -30,6 +31,7 @@ from sloccflow.statespace import (
     apply_local,
     bosonic,
     distinguishable,
+    embedding_isometry,
     fermionic,
     normalize,
     random_state,
@@ -215,6 +217,26 @@ class TestNormAndVariance:
                     var += float(np.vdot(gv, gv).real)
                     var -= float(np.vdot(v.amplitudes, gv).real) ** 2
             assert abs(var - total_variance(v)) < 1e-10
+
+    @pytest.mark.parametrize("sector", SECTORS, ids=str)
+    def test_represented_generators_match_kron_products(self, sector):
+        # Independent route: each generator as a Kronecker product
+        # I x..x xi x..x I on the full tensor power, summed over the slots and
+        # compressed by the embedding isometry for identical particles.
+        L, N = sector.parties, sector.local_dim
+        frame = gell_mann_frame(N)
+
+        def in_slot(xi, k):
+            return reduce(np.kron, [xi if q == k else np.eye(N) for q in range(L)])
+
+        if sector.identical:
+            V = embedding_isometry(sector)
+            want = [[V.T @ sum(in_slot(xi, k) for k in range(L)) @ V for xi in frame]]
+        else:
+            want = [[in_slot(xi, p) for xi in frame] for p in range(L)]
+        gens = represented_generators(sector)
+        assert gens.shape == (sector.acting, N * N - 1, sector.dim, sector.dim)
+        assert np.max(np.abs(gens - np.array(want))) < 1e-12
 
     def test_moments_invariant_under_scaling(self, rng):
         for sector in SECTORS:
