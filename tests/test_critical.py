@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.optimize import nnls
+from scipy.optimize import nnls as reference_nnls
 
 from sloccflow import critical
 from sloccflow.canonical import gabcd
@@ -550,7 +550,7 @@ def _label_loop_feasible(report, tol: float = 1e-9) -> bool:
             rhs.append(1.0 / N + report.alpha.spectra[0][j])
     rows.append(np.ones(len(kets)))
     rhs.append(1.0)
-    _, residual = nnls(np.stack(rows), np.array(rhs))
+    _, residual = reference_nnls(np.stack(rows), np.array(rhs))
     return residual <= tol
 
 
@@ -641,6 +641,58 @@ class TestChamberBlocks:
         assert 0 < len(calls) == at_level
         # 11 of 954 blocks at this denominator (29 of 50 900 at 12).
         assert len(calls) < 0.02 * blocks
+
+
+def _nnls_problems():
+    """Seeded ``(kind, A, b)`` problems for the in-module NNLS."""
+    rng = np.random.default_rng(1974)
+    for _ in range(300):
+        m, n = rng.integers(1, 9, size=2)
+        yield "dense", rng.standard_normal((m, n)), rng.standard_normal(m)
+    for _ in range(300):
+        # The chamber-scan shape: 0/1 level populations per party plus a row
+        # of ones, against marginals the kets can or cannot reproduce.
+        parties, N, n = rng.integers(1, 5), rng.integers(2, 4), rng.integers(1, 9)
+        levels = rng.integers(0, N, size=(parties, n))
+        rows = (levels[:, None, :] == np.arange(N)[:, None]).reshape(parties * N, n)
+        A = np.vstack([rows, np.ones(n)])
+        yield "feasible", A, A @ rng.dirichlet(np.ones(n))
+        marginals = rng.dirichlet(np.ones(N), size=parties).ravel()
+        yield "marginals", A, np.append(marginals, 1.0)
+    for _ in range(300):
+        # Exact integer products, so the rank deficiency is not rounded away.
+        m, n = rng.integers(2, 9, size=2)
+        r = rng.integers(1, min(m, n))
+        A = rng.integers(-3, 4, size=(m, r)) @ rng.integers(-2, 3, size=(r, n))
+        yield "rank-deficient", A.astype(float), rng.standard_normal(m)
+        A = rng.standard_normal((m, n))
+        yield "duplicates", A[:, rng.integers(0, n, size=2 * n)], rng.standard_normal(m)
+    for _ in range(50):
+        m, n = rng.integers(1, 9, size=2)
+        yield "negative", rng.random((m, n)), -rng.random(m) - 0.1
+        yield "zero", rng.standard_normal((m, n)), np.zeros(m)
+
+
+class TestNnls:
+    """The Lawson-Hanson solve against the reference implementation."""
+
+    def test_matches_reference(self):
+        verdicts = set()
+        for kind, A, b in _nnls_problems():
+            x, residual = critical.nnls(A, b)
+            _, reference = reference_nnls(A, b)
+            assert x.shape == (A.shape[1],) and np.all(x >= 0), kind
+            assert abs(residual - np.linalg.norm(A @ x - b)) <= 1e-14 * max(1.0, residual)
+            assert abs(residual - reference) <= 1e-12 * max(1.0, np.linalg.norm(b)), kind
+            # KKT: no coordinate at zero could lower the residual.
+            dual = A.T @ (b - A @ x)
+            assert np.all(dual[x == 0] <= 1e-10), kind
+            # ``_marginal_feasible``'s verdict.
+            assert (residual <= 1e-9) == (reference <= 1e-9), kind
+            verdicts.add((kind, bool(residual <= 1e-9)))
+            if kind in ("negative", "zero"):
+                assert not x.any() and residual == np.linalg.norm(b)
+        assert {("feasible", True), ("marginals", True), ("marginals", False)} <= verdicts
 
 
 class TestTrivialLocalDimension:

@@ -12,6 +12,7 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -38,7 +39,7 @@ CLASSIFY_SMALL_PICKS = r"four-qubit-.*|haar-4x2-\d+|three-\w+-0"
 
 
 def test_classify_small_operations_pass_oracle():
-    generate, worker, oracle = _load("generate"), _load("worker"), _load("oracle")
+    generate = _load("generate")
     ops = [
         op
         for op in generate.generate("classify-small", 3)
@@ -46,29 +47,73 @@ def test_classify_small_operations_pass_oracle():
     ]
     assert len(ops) == 5 + 3 + 6
     for op in ops:
-        result = worker.run_operation(op, worker.sloccflow.state_from_json(op["state"]))
-        assert oracle.check(op, result) == [], op["id"]
+        assert _oracle_problems(op) == [], op["id"]
 
 
 def test_identical_sector_operations_pass_oracle():
     # Every pair operation of the workload, and moved Dicke states with
     # L <= 4, which the workload (L >= 5, a known defect) does not reach.
-    # ``dicke-4-1`` is a moved W_4, the known defect ``w4-moved-*``.
-    generate, worker, oracle = _load("generate"), _load("worker"), _load("oracle")
+    # ``dicke-4-1`` is a moved W_4, the known defect ``w4-moved-*``
+    # (``test_moved_w4_dicke_state``).
+    generate, oracle = _load("generate"), _load("oracle")
     ops = [
         op
         for op in generate.generate("identical-sectors", 3)
         if re.fullmatch(r"(?:boson|fermion)_pair-\d+-\d+", op["id"])
     ]
     assert len(ops) == 10 + 7
+    ops += _moved_dicke_ops(generate, ((3, 0), (3, 1), (4, 0), (4, 2)))
+    for op in ops:
+        assert oracle.known_defect(op["id"]) is None, op["id"]
+        assert _oracle_problems(op) == [], op["id"]
+
+
+def _moved_dicke_ops(generate, cases):
+    """Moved Dicke operations, one ``g`` per ``(L, k)`` drawn in order from seed 3."""
     rng = np.random.default_rng(3)
-    for L, k in ((3, 0), (3, 1), (4, 0), (4, 2)):
+    ops = []
+    for L, k in cases:
         g = generate.random_special_linear(rng, 2, generate.DICKE_SPREAD)
         ops.append(
             generate._op(f"dicke-{L}-{k}", {"kind": "dicke", "L": L, "k": k},
                          generate._document("bosonic", L, 2, generate.moved_dicke(g, L, k)))
         )
-    for op in ops:
-        assert oracle.known_defect(op["id"]) is None, op["id"]
-        result = worker.run_operation(op, worker.sloccflow.state_from_json(op["state"]))
-        assert oracle.check(op, result) == [], op["id"]
+    return ops
+
+
+def _oracle_problems(op):
+    worker, oracle = _load("worker"), _load("oracle")
+    result = worker.run_operation(op, worker.sloccflow.state_from_json(op["state"]))
+    return oracle.check(op, result)
+
+
+NULL_CONE_DEFECT = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: the flow stops on the zero level (d < 3e-5, index 0, "
+    "semistable) instead of at the null-cone level of a moved W or Dicke state",
+)
+
+
+@NULL_CONE_DEFECT
+@pytest.mark.parametrize(
+    "workload, op_id",
+    [
+        ("classify-small", "w4-moved-0.1"),
+        ("classify-small", "w4-moved-1.0"),
+        ("classify-small", "w5-moved-0.1"),
+        ("classify-small", "w5-moved-1.0"),
+        ("identical-sectors", "dicke-6-1"),
+    ],
+)
+def test_moved_null_cone_state_at_seed_3(workload, op_id):
+    (op,) = [op for op in _load("generate").generate(workload, 3) if op["id"] == op_id]
+    assert _oracle_problems(op) == []
+
+
+@NULL_CONE_DEFECT
+def test_moved_w4_dicke_state():
+    # The draw after the three that ``test_identical_sector_operations_pass_oracle``
+    # uses for (3, 0), (3, 1) and (4, 0): a moved W_4 in ``bosonic(4, 2)``.
+    (*_, op) = _moved_dicke_ops(_load("generate"), ((3, 0), (3, 1), (4, 0), (4, 1)))
+    assert _oracle_problems(op) == []
