@@ -192,5 +192,6 @@ def scan_qubit_families(
             d_value=0.0,
             morse_index=0,
         )
-    families = sorted(found.values(), key=lambda r: (r.d_value, r.label))
+    # Families at one distance differ in d only by rounding; list them by label.
+    families = sorted(found.values(), key=lambda r: (round(r.d_value, 9), r.label))
     return QubitScanResult(families, zero_family, len(grid), max_multiplicity)

@@ -24,6 +24,7 @@ of ``||mu||^2``, so a flow below it can only end on the zero level.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,9 +43,10 @@ from .statespace import (
     LocalOperator,
     PureState,
     Sector,
+    _axis_views,
     _embed,
+    _gathered_one_body,
     _local_product,
-    _one_body,
     _project,
     apply_local,
     normalize,
@@ -67,8 +69,10 @@ class FlowConfig:
     def __post_init__(self):
         if not (0 < self.step_size < math.inf and 0 < self.tolerance < math.inf):
             raise ValueError("step_size and tolerance must be positive and finite")
-        if self.max_iterations < 1 or self.record_every < 1:
-            raise ValueError("max_iterations and record_every must be positive")
+        for count in (self.max_iterations, self.record_every):
+            # ``bool`` subclasses ``int``, but ``True`` is not a count.
+            if not isinstance(count, numbers.Integral) or isinstance(count, bool) or count < 1:
+                raise ValueError("max_iterations and record_every must be positive integers")
 
 
 @dataclass
@@ -97,54 +101,56 @@ class FlowTrace:
         return "\n".join(lines)
 
 
-def _expm_traceless_hermitian(matrix: np.ndarray, scale: float) -> np.ndarray:
-    """``exp(scale * matrix)`` for traceless Hermitian input."""
-    if matrix.shape[0] == 2:
+def _expm_traceless_hermitian(mats: np.ndarray, scale: float) -> np.ndarray:
+    """``exp(scale * m)`` for each traceless Hermitian ``m`` of a stack."""
+    if mats.shape[1] == 2:
         # A^2 = a^2 I for traceless Hermitian 2x2; exp in closed form.
-        a = math.sqrt(abs(matrix[0, 0].real ** 2 + abs(matrix[0, 1]) ** 2))
-        if a == 0.0:
-            return np.eye(2, dtype=complex)
+        a = np.sqrt(mats[:, 0, 0].real ** 2 + np.abs(mats[:, 0, 1]) ** 2)
         sa = scale * a
-        return math.cosh(sa) * np.eye(2) + (math.sinh(sa) / a) * matrix
-    vals, vecs = np.linalg.eigh(matrix)
-    return (vecs * np.exp(scale * vals)) @ vecs.conj().T
+        # The matrix is zero where a is, so any finite sinh(sa) / a serves there.
+        out = (np.sinh(sa) / (a + (a == 0)))[:, None, None] * mats
+        out.reshape(-1, 4)[:, ::3] += np.cosh(sa)[:, None]
+        return out
+    vals, vecs = np.linalg.eigh(mats)
+    return (vecs * np.exp(scale * vals)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
 
 
 def _gradient(
-    sector: Sector, mats: list[np.ndarray], tensor: np.ndarray, amps: np.ndarray
+    sector: Sector, mats: np.ndarray, views: np.ndarray, amps: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Projected coadjoint image and its Rayleigh value."""
-    image = sector.copies * _project(sector, _one_body(sector, mats, tensor))
+    """Projected coadjoint image and its Rayleigh value, from the state's axis views."""
+    image = sector.copies * _project(sector, _gathered_one_body(mats, views))
     lam = float(np.vdot(amps, image).real)
     return image - lam * amps, lam
 
 
 def _advance(
-    sector: Sector, mats: list[np.ndarray], tensor: np.ndarray, step: float
+    sector: Sector, mats: np.ndarray, tensor: np.ndarray, step: float
 ) -> np.ndarray:
     """Apply exp(-step * coadjoint) per acting factor and renormalize."""
-    factors = [_expm_traceless_hermitian(m, -step * sector.copies) for m in mats]
+    factors = _expm_traceless_hermitian(mats, -step * sector.copies)
     flat = _project(sector, _local_product(sector, factors, tensor))
-    return flat / np.linalg.norm(flat)
+    return flat / math.sqrt(np.vdot(flat, flat).real)
 
 
-def _start(state: PureState) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Unit amplitudes, tensor and shifted densities of a state."""
-    amps = normalize(state).amplitudes
-    tensor = _embed(state.sector, amps)
-    return amps, tensor, _shifted_densities(tensor, state.sector.acting)
+def _at(sector: Sector, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tensor, axis views and shifted densities of unit amplitudes."""
+    tensor = _embed(sector, amps)
+    views = _axis_views(tensor)
+    return tensor, views, _shifted_densities(views, sector.acting)
 
 
 def flow_step(state: PureState, step: float) -> PureState:
     """One exact exponential step down the momentum-norm gradient."""
-    _, tensor, mats = _start(state)
+    tensor, _, mats = _at(state.sector, normalize(state).amplitudes)
     return PureState(state.sector, _advance(state.sector, mats, tensor, step))
 
 
 def projected_gradient(state: PureState) -> tuple[np.ndarray, float]:
     """Gradient vector ``P(mu* v)`` at the normalized state and ``<v|mu* v>``."""
-    amps, tensor, mats = _start(state)
-    return _gradient(state.sector, mats, tensor, amps)
+    amps = normalize(state).amplitudes
+    _, views, mats = _at(state.sector, amps)
+    return _gradient(state.sector, mats, views, amps)
 
 
 def gradient_norm(state: PureState) -> float:
@@ -193,17 +199,21 @@ def flow_to_critical(
     """
     config = config or FlowConfig()
     sector = state.sector
-    amps, tensor, mats = _start(state)
+    amps = normalize(state).amplitudes
+    tensor, views, mats = _at(sector, amps)
     trace = FlowTrace()
     step = config.step_size
     mu2 = _norm_sq(sector, mats)
-    direction = [m.copy() for m in mats]
+    direction = mats
     margin = weight_margin(sector)
     gate_mu2 = -math.inf if margin is None else MARGIN_GATE * margin
     iteration = 0
+    grad_norm = None
     while True:
-        grad, _ = _gradient(sector, mats, tensor, amps)
-        grad_norm = float(np.linalg.norm(grad))
+        if grad_norm is None:
+            # A rejected move leaves the state, hence the gradient, as it was.
+            grad, _ = _gradient(sector, mats, views, amps)
+            grad_norm = math.sqrt(np.vdot(grad, grad).real)
         if grad_norm < trace.best_grad_norm:
             trace.best_grad_norm = grad_norm
             trace.mu2_at_best_grad = mu2
@@ -233,22 +243,21 @@ def flow_to_critical(
         else:
             move_direction, move_step = mats, min(step, config.step_size)
         trial = _advance(sector, move_direction, tensor, move_step)
-        trial_tensor = _embed(sector, trial)
-        trial_mats = _shifted_densities(trial_tensor, sector.acting)
+        trial_tensor, trial_views, trial_mats = _at(sector, trial)
         trial_mu2 = _norm_sq(sector, trial_mats)
         # Accept non-increase within rounding noise: true decreases near a
         # nonzero critical value fall below float resolution of mu2 itself.
         slack = 1e-13 * max(1.0, mu2)
         delta = trial_mu2 - mu2
         if np.isfinite(trial_mu2) and delta <= slack:
-            amps, tensor, mats, mu2 = trial, trial_tensor, trial_mats, trial_mu2
-            direction = [
-                m + MOMENTUM_BETA * d for m, d in zip(mats, direction)
-            ]
+            amps, tensor, views, mats = trial, trial_tensor, trial_views, trial_mats
+            mu2 = trial_mu2
+            grad_norm = None
+            direction = mats + MOMENTUM_BETA * direction
             if aggressive and delta < -slack:
                 step = min(step * 2.0, MAX_LINE_SEARCH_STEP)
         else:
-            direction = [m.copy() for m in mats]
+            direction = mats
             step = max(step * 0.25, 1e-9 * config.step_size)
         iteration += 1
     trace.terminal = PureState(sector, amps)

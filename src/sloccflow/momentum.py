@@ -13,7 +13,6 @@ constant and ``<v|mu* v> = ||mu||^2`` holds in every sector.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,11 +26,11 @@ from .statespace import (
     PureState,
     Sector,
     _axis_matrices,
+    _axis_views,
     _embed,
     _factor_one_body,
     _frozen,
     _ket_weights,
-    _matricize,
     _one_body,
     _project,
 )
@@ -154,32 +153,37 @@ class SpectrumPoint:
         }
 
 
-def _density(tensor: np.ndarray, p: int) -> np.ndarray:
-    """Unit-trace Hermitized ``X X^H`` of axis ``p``: the reduced density."""
-    X = _matricize(tensor, p)
-    rho = X @ X.conj().T
-    norm = np.trace(rho).real
+def _densities(views: np.ndarray) -> np.ndarray:
+    """Unit-trace Hermitized ``X X^H`` of each stacked axis view: the reduced densities.
+
+    Every view holds all amplitudes, so ``vdot`` of one is each density's trace.
+    """
+    norm = float(np.vdot(views[0], views[0]).real)
     if norm <= 0.0:
         raise ShapeMismatch("cannot reduce a zero state")
-    return 0.5 * (rho + rho.conj().T) / norm
+    rho = views @ views.conj().swapaxes(1, 2)
+    return (rho + rho.conj().swapaxes(1, 2)) * (0.5 / norm)
 
 
-def _shifted_densities(tensor: np.ndarray, count: int) -> list[np.ndarray]:
-    """``rho_p - I/N`` for the first ``count`` axes of a state tensor.
+def _shifted_densities(views: np.ndarray, count: int) -> np.ndarray:
+    """``rho_p - I/N`` for the first ``count`` axes, from ``statespace._axis_views``.
 
-    Raw-array form shared by ``momentum`` and the flow loop.
+    Raw-array form shared by ``momentum`` and the flow loop: shape ``(count, N, N)``.
     """
-    shift = np.eye(tensor.shape[0]) / tensor.shape[0]
-    return [_density(tensor, p) - shift for p in range(count)]
+    N = views.shape[1]
+    shifted = _densities(views[:count])
+    shifted.reshape(count, N * N)[:, :: N + 1] -= 1.0 / N
+    return shifted
 
 
-def _norm_sq(sector: Sector, mats: list[np.ndarray]) -> float:
+def _norm_sq(sector: Sector, mats: np.ndarray) -> float:
     """``||mu||^2`` of shifted densities; each acts on ``copies`` axes.
 
     The one formula of the level, read by ``MomentumPoint.norm_sq`` and by
     the flow loop.
     """
-    return sector.copies**2 * sum(float((np.abs(m) ** 2).sum()) for m in mats)
+    mats = np.asarray(mats)
+    return sector.copies**2 * float(np.vdot(mats, mats).real)
 
 
 def reduced_density(state: PureState, party: int = 0) -> np.ndarray:
@@ -195,13 +199,14 @@ def reduced_density(state: PureState, party: int = 0) -> np.ndarray:
         party = 0
     if not 0 <= party < L:
         raise PartyOutOfRange(f"party {party} outside 0..{L - 1}")
-    return _density(state.to_tensor(), party)
+    return _densities(_axis_views(state.to_tensor())[party : party + 1])[0]
 
 
 def momentum(state: PureState) -> MomentumPoint:
     """Momentum image: shifted reduced density per party (one if identical)."""
     sector = state.sector
-    return MomentumPoint(sector, tuple(_shifted_densities(state.to_tensor(), sector.acting)))
+    views = _axis_views(state.to_tensor())
+    return MomentumPoint(sector, tuple(_shifted_densities(views, sector.acting)))
 
 
 def _mu_star(
@@ -273,7 +278,9 @@ def weight_margin(sector: Sector) -> float | None:
     matrix ``G`` and ``x = G^-1 1``, ``||beta||^2 = 1 / sum(x)`` and the
     barycentric coordinates are ``x / sum(x)``.  Each subset size is solved
     in one batch over the subsets whose smallest Gram eigenvalue exceeds
-    ``MARGIN_PIVOT_TOL``.
+    ``MARGIN_PIVOT_TOL``; only extensions of the independent subsets one
+    size smaller are formed, since a prefix of an independent subset is
+    independent.
 
     Returns None when the sector has more than ``MARGIN_MAX_SUBSETS`` subsets
     of that size or less, or no nonzero candidate.  Cached per sector.
@@ -287,10 +294,16 @@ def weight_margin(sector: Sector) -> float | None:
     weights = _ket_weights(sector) - sector.copies / N
     gram = weights.T @ weights
     levels = [np.zeros(0)]
+    # Each prefix of an independent subset is independent, so the size-k
+    # candidates are the independent (k-1)-subsets extended by a later ket.
+    independent = np.zeros((1, 0), dtype=int)
     for k in range(1, min(rank, kets) + 1):
-        subsets = np.array(list(itertools.combinations(range(kets), k)))
+        last = independent[:, -1] if k > 1 else np.array([-1])
+        rows, later = np.nonzero(np.arange(kets) > last[:, None])
+        subsets = np.column_stack([independent[rows], later])
         grams = gram[subsets[:, :, None], subsets[:, None, :]]
-        grams = grams[np.linalg.eigvalsh(grams)[:, 0] > MARGIN_PIVOT_TOL]
+        keep = np.linalg.eigvalsh(grams)[:, 0] > MARGIN_PIVOT_TOL
+        independent, grams = subsets[keep], grams[keep]
         if not len(grams):
             # Every larger subset contains a dependent one.
             break

@@ -325,8 +325,39 @@ def _apply_on_axis(mat: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
     return out.reshape(n, math.prod(x.shape[:p]), -1).transpose(1, 0, 2).reshape(x.shape)
 
 
-def _axis_matrices(sector: Sector, mats: list[np.ndarray]) -> list[np.ndarray]:
-    """One validated complex ``N x N`` matrix per acting factor of the sector."""
+@lru_cache(maxsize=None)
+def _axis_maps(parties: int, local_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of every axis's matricization of a ``(N,)*L`` tensor, and back.
+
+    ``flat[maps]`` is the stack of ``_matricize(tensor, p)`` over the axes,
+    shape ``(L, N, N^(L-1))``; entry ``i`` of axis ``p``'s unfolded view sits
+    at ``inverse[p, i]`` of that stack, flattened.
+    """
+    size = local_dim**parties
+    index = np.arange(size).reshape((local_dim,) * parties)
+    maps = np.stack([_matricize(index, p) for p in range(parties)])
+    inverse = np.argsort(maps.reshape(parties, size), axis=1)
+    inverse += size * np.arange(parties)[:, None]
+    maps.setflags(write=False)
+    inverse.setflags(write=False)
+    return maps, inverse
+
+
+def _axis_views(tensor: np.ndarray) -> np.ndarray:
+    """Every axis's matricization of a state tensor, stacked in one gather."""
+    maps, _ = _axis_maps(tensor.ndim, tensor.shape[0])
+    return tensor.reshape(-1)[maps]
+
+
+def _gathered_one_body(mats: np.ndarray, views: np.ndarray) -> np.ndarray:
+    """``_one_body`` on stacked axis views; the acting matrices broadcast over copies."""
+    L, N = views.shape[:2]
+    _, inverse = _axis_maps(L, N)
+    return (mats @ views).reshape(-1)[inverse].sum(axis=0).reshape((N,) * L)
+
+
+def _axis_matrices(sector: Sector, mats: list[np.ndarray]) -> np.ndarray:
+    """One validated complex ``N x N`` matrix per acting factor, stacked."""
     N = sector.local_dim
     mats = [np.asarray(m, dtype=complex) for m in mats]
     if len(mats) != sector.acting:
@@ -334,25 +365,32 @@ def _axis_matrices(sector: Sector, mats: list[np.ndarray]) -> list[np.ndarray]:
     for m in mats:
         if m.shape != (N, N):
             raise ShapeMismatch(f"matrix shape {m.shape} does not match N={N}")
-    return mats
+    return np.stack(mats)
 
 
-def _local_product(sector: Sector, mats: list[np.ndarray], tensor: np.ndarray) -> np.ndarray:
+def _local_product(sector: Sector, mats: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     """The group action ``M_1 x ... x M_L`` on a tensor; trailing batch axes are kept.
 
     One matrix per acting factor, each on its ``Sector.copies`` axes.
     """
     out = tensor
-    for p, mat in enumerate(mats * sector.copies):
-        out = _apply_on_axis(mat, out, p)
+    for p in range(sector.parties):
+        out = _apply_on_axis(mats[p % sector.acting], out, p)
     return out
 
 
-def _one_body(sector: Sector, mats: list[np.ndarray], tensor: np.ndarray) -> np.ndarray:
-    """The algebra action ``sum_p I x..x M_p x..x I``, one matrix per acting factor."""
+def _one_body(sector: Sector, mats: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """The algebra action ``sum_p I x..x M_p x..x I``, one matrix per acting factor.
+
+    A single state tensor goes through the all-axes gather; a batch of
+    columns is applied axis by axis, which never holds every axis's copy of
+    the whole block at once.
+    """
+    if tensor.ndim == sector.parties:
+        return _gathered_one_body(np.asarray(mats), _axis_views(tensor))
     total = np.zeros_like(tensor)
-    for p, mat in enumerate(mats * sector.copies):
-        total += _apply_on_axis(mat, tensor, p)
+    for p in range(sector.parties):
+        total += _apply_on_axis(mats[p % sector.acting], tensor, p)
     return total
 
 

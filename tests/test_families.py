@@ -47,6 +47,14 @@ def test_one_momentum_image_per_record(monkeypatch, families, size, images):
     assert len(calls) == images
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_scan_lists_equal_distances_by_label(seed):
+    # The three biseparable families share d = 1/sqrt(2) up to rounding.
+    families = scan_qubit_families(3, 6, seed=seed).families
+    keys = [(round(f.d_value, 9), f.label) for f in families]
+    assert keys == sorted(keys)
+
+
 def _records():
     scan = scan_qubit_families(3, 6)
     groups = {

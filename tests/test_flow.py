@@ -155,6 +155,12 @@ class TestFlowToCritical:
             {"step_size": math.inf},
             {"tolerance": math.nan},
             {"tolerance": math.inf},
+            {"record_every": 1.5},
+            {"record_every": 100.0},
+            {"record_every": True},
+            {"max_iterations": 2.5},
+            {"max_iterations": True},
+            {"max_iterations": 0},
         ],
     )
     def test_config_rejects_non_finite(self, knobs):
@@ -244,6 +250,35 @@ class TestMarginGate:
     def test_four_qubit_families_leave_the_prefix_early(self, four_qubit_classified, name):
         _, trace = four_qubit_classified[name]
         assert trace.samples[-1][0] < CONSERVATIVE_PREFIX
+
+
+def test_rejected_move_costs_no_gradient(monkeypatch):
+    # L_ab3 rejects moves early below the margin; each one-body image
+    # evaluation must belong to a new state.
+    state = four_qubit_family("L_ab3", FOUR_QUBIT_DEMO_PARAMS["L_ab3"])
+    starts, trials, images = [], [], []
+    advance, one_body = flow._advance, flow._gathered_one_body
+
+    def counting_advance(sector, mats, tensor, step):
+        starts.append(tensor)
+        trials.append(advance(sector, mats, tensor, step))
+        return trials[-1]
+
+    def counting_one_body(mats, views):
+        images.append(views)
+        return one_body(mats, views)
+
+    monkeypatch.setattr(flow, "_advance", counting_advance)
+    monkeypatch.setattr(flow, "_gathered_one_body", counting_one_body)
+    with pytest.raises(NotConverged) as excinfo:
+        flow_to_critical(state, FlowConfig(max_iterations=300))
+    # A move is accepted when the next one starts from a new tensor; the
+    # last one when its trial is the terminal.
+    terminal = excinfo.value.trace.terminal.amplitudes
+    accepted = sum(b is not a for a, b in zip(starts, starts[1:]))
+    accepted += np.array_equal(terminal, trials[-1])
+    assert len(starts) - accepted > 0
+    assert len(images) == accepted + 1
 
 
 class TestSloccDistance:

@@ -7,11 +7,17 @@ import pytest
 import sloccflow
 from sloccflow import morse
 from sloccflow.critical import classify_with_trace
+from sloccflow.errors import ShapeMismatch
+from sloccflow.flow import _expm_traceless_hermitian
+from sloccflow.momentum import _shifted_densities
 from sloccflow.statespace import (
     _apply_on_axis,
+    _axis_maps,
+    _axis_views,
     _embed,
     _factor_one_body,
     _local_product,
+    _matricize,
     _one_body,
     _project,
     bosonic,
@@ -41,6 +47,46 @@ def test_apply_on_axis_matches_einsum(rng, N, L, batch):
         got = _apply_on_axis(mat, x, p)
         assert got.shape == shape
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+def test_axis_views_are_every_matricization(rng, N, L):
+    x = _complex(rng, (N,) * L)
+    views = _axis_views(x)
+    assert views.shape == (L, N, N ** (L - 1))
+    for p in range(L):
+        assert np.array_equal(views[p], _matricize(x, p))
+    assert _axis_maps(L, N) is _axis_maps(L, N)
+
+
+@pytest.mark.parametrize("sector", KINDS, ids=str)
+def test_shifted_densities_match_einsum(rng, sector):
+    L, N = sector.parties, sector.local_dim
+    x = _embed(sector, _complex(rng, sector.dim))
+    cols = LETTERS[:L]
+    got = _shifted_densities(_axis_views(x), sector.acting)
+    assert got.shape == (sector.acting, N, N)
+    for p in range(sector.acting):
+        kept = cols[:p] + "Z" + cols[p + 1 :]
+        rho = np.einsum(f"{cols},{kept}->{cols[p]}Z", x, x.conj())
+        want = rho / np.trace(rho).real - np.eye(N) / N
+        assert np.max(np.abs(got[p] - want)) < 1e-13
+    with pytest.raises(ShapeMismatch):
+        _shifted_densities(_axis_views(np.zeros_like(x)), sector.acting)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_stacked_exponential_matches_eigh(rng, N):
+    m = _complex(rng, (4, N, N))
+    m = m + m.conj().swapaxes(1, 2)
+    m -= np.trace(m, axis1=1, axis2=2)[:, None, None].real * np.eye(N) / N
+    m[-1] = 0.0
+    got = _expm_traceless_hermitian(m, -0.3)
+    for matrix, out in zip(m, got):
+        vals, vecs = np.linalg.eigh(matrix)
+        assert np.max(np.abs(out - (vecs * np.exp(-0.3 * vals)) @ vecs.conj().T)) < 1e-13
+    assert np.array_equal(got[-1], np.eye(N))
 
 
 def test_classify_builds_one_tangent_frame(monkeypatch, w3):
