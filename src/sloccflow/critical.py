@@ -28,6 +28,7 @@ from .flow import (
 )
 from .momentum import (
     SpectrumPoint,
+    _one_body_diagonal,
     casimir_constant,
     momentum,
     mu_star_apply,
@@ -114,24 +115,13 @@ def is_critical(state: PureState, tol: float = 1e-8) -> tuple[bool, float]:
     return float(np.linalg.norm(grad)) <= tol, lam
 
 
-def _alpha_diagonal_values(alpha: SpectrumPoint) -> np.ndarray:
-    """Diagonal of the chamber operator over the canonical sector basis."""
-    weights = _ket_weights(alpha.sector)
-    N = alpha.sector.local_dim
-    values = np.zeros(weights.shape[1])
-    for p, spectrum in enumerate(alpha.spectra):
-        # One BLAS dot per ket, summed as ``np.dot(populations, spectrum)``.
-        values += (weights[p * N : (p + 1) * N].T[:, None, :] @ spectrum)[:, 0]
-    return values
-
-
 def alpha_star_eigenspaces(
     alpha: SpectrumPoint, rel_gap: float = DEGENERACY_REL_GAP
 ) -> list[EigenspaceReport]:
     """Eigenvalue blocks of the diagonal chamber operator, with degeneracy grouping."""
     alpha.validate_weyl_chamber()
     dim = alpha.sector.dim
-    values = _alpha_diagonal_values(alpha)
+    values = _one_body_diagonal(alpha.sector, alpha.spectra)
     order = np.argsort(values)[::-1]
     scale = max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
     ranked = values[order]

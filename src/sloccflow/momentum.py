@@ -222,6 +222,23 @@ def _mu_star(
     return _project(sector, _one_body(sector, _axis_matrices(sector, point), _embed(sector, x)))
 
 
+def _one_body_diagonal(sector: Sector, spectra) -> np.ndarray:
+    """Diagonal, over the sector basis, of the one-body sum of ``diag(spectra[a])``.
+
+    One spectrum per acting factor; ket ``k`` gets ``sum n_(a,j) spectra[a][j]``
+    over the level populations of ``_ket_weights``.  With the eigenvalues of
+    local matrices this is the spectrum of their one-body sum, which is
+    diagonal on the kets of the local eigenbases.
+    """
+    weights = _ket_weights(sector)
+    N = sector.local_dim
+    values = np.zeros(weights.shape[1])
+    for a, spectrum in enumerate(spectra):
+        # One BLAS dot per ket, summed as ``np.dot(populations, spectrum)``.
+        values += (weights[a * N : (a + 1) * N].T[:, None, :] @ spectrum)[:, 0]
+    return values
+
+
 def mu_star_apply(
     point: MomentumPoint | SpectrumPoint | list[np.ndarray], state: PureState
 ) -> np.ndarray:

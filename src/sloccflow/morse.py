@@ -7,11 +7,22 @@ positive factor, to the Rayleigh second variation of the frozen momentum
 operator: a complement direction ``u`` is negative exactly when
 ``<u|mu* u> < lambda``.  The index counts those directions, each complex
 direction contributing the real pair ``{u, iu}``.
+
+The complement is never formed to read that spectrum.  At a critical state
+``M v = lambda v`` for the frozen momentum operator ``M``, and the commutator
+of ``M`` with a local generator ``X`` is again local, so ``M X v`` lies in the
+span ``T`` of ``v`` and the orbit tangent: ``T`` is ``M``-invariant, and the
+spectrum of ``M`` on the complement is ``spec(M)`` with ``spec(M|T)`` taken
+out (the weight-space splitting of Kirwan 1984 and Ness 1984).  ``M`` is
+diagonal on the kets of the local eigenbases, so ``spec(M)`` is the ket
+weights applied to the local eigenvalues; ``spec(M|T)`` is the spectrum of the
+small block of ``M`` on ``[v, orbit]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +32,7 @@ from .momentum import (
     MomentumPoint,
     _generator_columns,
     _mu_star,
+    _one_body_diagonal,
     momentum,
     mu_star_matrix,
 )
@@ -31,6 +43,11 @@ from .statespace import PureState, normalize
 # that but far below genuine orbit directions, which are O(0.1) and larger.
 FRAME_REL_TOL = 1e-6
 NULL_BAND = 1e-6
+# Largest distance of a Ritz value of the frozen momentum operator on the
+# orbit tangent plus ``v`` from its spectrum.  Spectrum entries are
+# ``2(e - lambda)``, so below half the null band an entry moves by less than
+# the band the index reads.
+SPLIT_TOL = 0.5 * NULL_BAND
 DEFAULT_FD_STEP = 1e-4
 
 
@@ -53,12 +70,12 @@ class TangentFrame:
 
     ``orbit_complex`` and ``complement_complex`` hold complex-orthonormal
     column bases; the corresponding real-orthonormal frames are the pairs
-    ``{u, iu}`` exposed by ``orbit_basis`` / ``complement_basis``.
+    ``{u, iu}`` exposed by ``orbit_basis`` / ``complement_basis``.  The
+    complement is completed on first use: the Morse spectrum never reads it.
     """
 
     base: PureState
     orbit_complex: np.ndarray
-    complement_complex: np.ndarray
 
     @staticmethod
     def _realify(columns: np.ndarray) -> list[np.ndarray]:
@@ -67,6 +84,16 @@ class TangentFrame:
             out.append(col)
             out.append(1j * col)
         return out
+
+    @cached_property
+    def complement_complex(self) -> np.ndarray:
+        # Complete the base point and the orbit directions to a unitary; the
+        # remaining columns span the projective complement.
+        rank = self.orbit_complex.shape[1]
+        Q, _ = np.linalg.qr(
+            np.column_stack([self.base.amplitudes, self.orbit_complex]), mode="complete"
+        )
+        return Q[:, rank + 1 :]
 
     @property
     def orbit_basis(self) -> list[np.ndarray]:
@@ -77,7 +104,8 @@ class TangentFrame:
         return self._realify(self.complement_complex)
 
     def real_counts(self) -> tuple[int, int]:
-        return 2 * self.orbit_complex.shape[1], 2 * self.complement_complex.shape[1]
+        rank = self.orbit_complex.shape[1]
+        return 2 * rank, 2 * (self.base.sector.dim - 1 - rank)
 
 
 def orbit_tangent_frame(state: PureState, rel_tol: float = FRAME_REL_TOL) -> TangentFrame:
@@ -88,12 +116,11 @@ def orbit_tangent_frame(state: PureState, rel_tol: float = FRAME_REL_TOL) -> Tan
     U, s, _ = np.linalg.svd(orbit_action_columns(state), full_matrices=False)
     rank = int(np.sum(s > (s[0] if s.size and s[0] > 0 else 1.0) * rel_tol))
     orbit = U[:, :rank]
-    # Complete the base point and the orbit directions to a unitary; the
-    # remaining columns span the projective complement.
-    Q, R = np.linalg.qr(np.column_stack([v, orbit]), mode="complete")
-    if rank + 1 > dim or np.any(np.abs(np.diag(R)[: rank + 1]) < 0.5):
+    # The base point and the orbit directions must stay independent.
+    R = np.linalg.qr(np.column_stack([v, orbit]), mode="r")
+    if rank + 1 > dim or np.any(np.abs(np.diag(R)) < 0.5):
         raise RuntimeError("tangent frame construction lost dimensions")
-    return TangentFrame(state, orbit, Q[:, rank + 1 :])
+    return TangentFrame(state, orbit)
 
 
 def morse_index(
@@ -138,24 +165,53 @@ def complement_hessian_spectrum(state: PureState) -> np.ndarray:
     """Eigenvalues ``2(e_j - lambda)`` of the compressed second variation.
 
     Each entry counts twice in the Morse index when negative (pair ``u, iu``).
+    Raises ``NotCritical`` when the state is not critical for its own
+    momentum image, which the spectral split detects (see ``SPLIT_TOL``).
     """
     state = normalize(state)
     return _complement_spectrum(state, momentum(state))
 
 
 def _complement_spectrum(state: PureState, point: MomentumPoint) -> np.ndarray:
-    """``complement_hessian_spectrum`` of a state whose momentum image is ``point``."""
+    """``complement_hessian_spectrum`` of a state whose momentum image is ``point``.
+
+    The span ``T`` of ``v`` and the orbit directions is invariant under the
+    frozen momentum operator ``M``, so the complement spectrum is ``spec(M)``
+    with the Ritz values of ``M`` on ``T`` taken out.
+    """
     frame = orbit_tangent_frame(state)
-    C = frame.complement_complex
-    if C.shape[1] == 0:
-        return np.zeros(0)
-    # The frozen momentum operator acts matrix-free on [v, C]: <v|M v> and M C.
-    v = frame.base.amplitudes
-    image = _mu_star(point, state.sector, np.column_stack([v, C]))
-    lam = float(np.vdot(v, image[:, 0]).real)
-    compressed = C.conj().T @ image[:, 1:]
-    eigs = np.linalg.eigvalsh(0.5 * (compressed + compressed.conj().T))
-    return 2.0 * (eigs - lam)
+    Q = np.column_stack([frame.base.amplitudes, frame.orbit_complex])
+    block = Q.conj().T @ _mu_star(point, state.sector, Q)
+    lam = float(block[0, 0].real)
+    ritz = np.linalg.eigvalsh(0.5 * (block + block.conj().T))
+    spectrum = _one_body_diagonal(point.sector, np.linalg.eigvalsh(point.coadjoint_matrices()))
+    return 2.0 * (_remove_ritz(np.sort(spectrum), ritz, lam) - lam)
+
+
+def _remove_ritz(spectrum: np.ndarray, ritz: np.ndarray, lam: float) -> np.ndarray:
+    """Ascending ``spectrum`` without one entry per Ritz value.
+
+    The spectrum splits into clusters at gaps above ``SPLIT_TOL``, and each
+    Ritz value takes out the lowest remaining entry of the cluster of its
+    nearest entry.  At a critical state the Rayleigh value ``lam`` is an
+    eigenvalue too.  Raises ``NotCritical`` when ``lam`` or a Ritz value lies
+    farther than ``SPLIT_TOL`` from the spectrum, or a cluster has fewer
+    entries than Ritz values.
+    """
+    values = np.append(ritz, lam)
+    nearest = np.searchsorted(0.5 * (spectrum[1:] + spectrum[:-1]), values)
+    mismatch = float(np.max(np.abs(values - spectrum[nearest])))
+    cluster = np.concatenate([[0], np.cumsum(np.diff(spectrum) > SPLIT_TOL)])
+    taken = np.bincount(cluster[nearest[:-1]], minlength=cluster[-1] + 1)
+    if mismatch > SPLIT_TOL or np.any(taken > np.bincount(cluster)):
+        raise NotCritical(
+            f"Ritz values on the orbit tangent lie up to {mismatch:.3e} from the "
+            f"momentum operator's spectrum (bound {SPLIT_TOL:.1e}) or outnumber "
+            "its eigenvalues there; the state is not critical"
+        )
+    # Position of each entry inside its cluster; the first ``taken`` go.
+    position = np.arange(spectrum.size) - np.searchsorted(cluster, cluster)
+    return spectrum[position >= taken[cluster]]
 
 
 def hessian_fd_oracle(

@@ -12,7 +12,6 @@ from sloccflow.canonical import gabcd
 from sloccflow.critical import (
     LEVEL_TOL,
     Stability,
-    _alpha_diagonal_values,
     _marginal_feasible,
     alpha_star_eigenspaces,
     classify,
@@ -32,6 +31,7 @@ from sloccflow.families import (
 )
 from sloccflow.momentum import (
     SpectrumPoint,
+    _one_body_diagonal,
     casimir_constant,
     gell_mann_frame,
     momentum,
@@ -583,7 +583,7 @@ class TestChamberBlocks:
         kinds = set()
         for alpha in _sample_alphas():
             kinds.add(alpha.sector.kind)
-            got = _alpha_diagonal_values(alpha)
+            got = _one_body_diagonal(alpha.sector, alpha.spectra)
             assert got.tobytes() == _label_loop_values(alpha).tobytes()
         assert kinds == {"distinguishable", "bosonic", "fermionic"}
 

@@ -1,5 +1,13 @@
+import importlib.util
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sloccflow.critical import classify
 
 from sloccflow.errors import NotCritical
 from sloccflow.families import (
@@ -8,21 +16,27 @@ from sloccflow.families import (
     boson_pair_families,
     dicke_families,
     fermion_pair_families,
+    scan_qubit_families,
 )
 from sloccflow.momentum import momentum, mu_star_matrix
 from sloccflow.morse import (
+    _remove_ritz,
     complement_hessian_spectrum,
     hessian_fd_oracle,
     hessian_to_csv,
+    index_from_spectrum,
     morse_index,
     morse_index_fd,
     orbit_tangent_frame,
 )
 from sloccflow.statespace import (
     LocalOperator,
+    PureState,
     apply_local,
     dicke,
+    distinguishable,
     normalize,
+    state_from_json,
 )
 
 from conftest import haar_unitary, qubits
@@ -130,11 +144,52 @@ def _dense_complement_spectrum(state):
     return 2.0 * (np.linalg.eigvalsh(0.5 * (compressed + compressed.conj().T)) - lam)
 
 
+def _w_state(L):
+    return qubits([1 if bin(i).count("1") == 1 else 0 for i in range(2**L)], L)
+
+
+def _assert_split_matches_dense(state, tol):
+    expected = _dense_complement_spectrum(state)
+    got = complement_hessian_spectrum(state)
+    assert got.shape == expected.shape, state.sector
+    assert np.max(np.abs(got - expected), initial=0.0) < tol, state.sector
+    assert index_from_spectrum(got) == index_from_spectrum(expected), state.sector
+
+
+def _family_records():
+    return (
+        bipartite_families(3)
+        + bipartite_families(4)
+        + boson_pair_families(3)
+        + boson_pair_families(4)
+        + fermion_pair_families(5)
+        + fermion_pair_families(6)
+        + dicke_families(5)
+        + dicke_families(6)
+    )
+
+
+def _local_unitary_image(state, seed):
+    rng = np.random.default_rng(seed)
+    N = state.sector.local_dim
+    parties = range(state.sector.acting)
+    return apply_local([LocalOperator(p, haar_unitary(rng, N)) for p in parties], state)
+
+
+def _load_generate():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("perfbench_generate", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestComplementSpectrum:
+    """The invariant split against the dense ``C^H M C`` of the complement."""
+
     def test_matrix_free_matches_dense_operator(self, w3):
-        w4 = qubits([1 if bin(i).count("1") == 1 else 0 for i in range(16)], 4)
         states = (
-            [w3, w4, bipartite_rank_state(4, 2)]
+            [w3, _w_state(4), bipartite_rank_state(4, 2)]
             + [dicke(k, 6) for k in range(4)]
             + [rec.state for rec in fermion_pair_families(4)]
         )
@@ -142,10 +197,97 @@ class TestComplementSpectrum:
             "distinguishable", "bosonic", "fermionic"
         }
         for state in states:
-            expected = _dense_complement_spectrum(state)
-            got = complement_hessian_spectrum(state)
-            assert got.shape == expected.shape
-            assert np.max(np.abs(got - expected), initial=0.0) < 1e-12, state.sector
+            _assert_split_matches_dense(state, 1e-12)
+
+    @pytest.mark.parametrize("L", [5, 6, 7, 8, 9])
+    def test_w_states(self, L):
+        _assert_split_matches_dense(_w_state(L), 1e-12)
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(L=st.integers(3, 7), seed=st.integers(0, 2**32 - 1))
+    def test_local_unitary_images_of_w(self, L, seed):
+        _assert_split_matches_dense(_local_unitary_image(_w_state(L), seed), 1e-12)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_local_unitary_images_of_family_records(self, data, seed):
+        record = data.draw(st.sampled_from(_family_records()), label="record")
+        _assert_split_matches_dense(_local_unitary_image(record.state, seed), 1e-12)
+
+    @pytest.mark.parametrize("parties, denominator", [(3, 6), (4, 2)])
+    def test_scan_records(self, parties, denominator):
+        # Scan states are critical to the self-consistency tolerance only.
+        records = scan_qubit_families(parties, denominator).families
+        assert records
+        for rec in records:
+            _assert_split_matches_dense(rec.state, 1e-7)
+
+    def test_nonzero_level_flow_terminals_of_the_benchmark(self):
+        generate = _load_generate()
+        terminals = []
+        for seed in (1, 3):
+            for workload in ("classify-small", "identical-sectors"):
+                for op in generate.generate(workload, seed):
+                    # Zero-level flows end without a spectrum.
+                    if op["spec"]["kind"] == "zero_level":
+                        continue
+                    record = classify(state_from_json(op["state"]))
+                    if record.hessian_spectrum:
+                        terminals.append(record.state)
+        assert len(terminals) > 100
+        for state in terminals:
+            _assert_split_matches_dense(state, 1e-7)
+
+    def test_not_critical_raises(self):
+        # A GHZ-class state off its critical orbit: the orbit fills the
+        # tangent, but the Rayleigh value misses the operator's spectrum.
+        v = qubits([2, 0, 0, 0, 0, 0, 0, 1], 3)
+        with pytest.raises(NotCritical, match="lie up to"):
+            complement_hessian_spectrum(v)
+
+    def test_removal_counts_ritz_values_per_cluster(self):
+        spectrum = np.array([-1.0, 0.0, 1e-9, 0.0 + 2e-9, 1.0, 1.0])
+        rest = _remove_ritz(spectrum, np.array([1e-9, 1e-9, 1.0]), 1.0)
+        assert np.array_equal(rest, [-1.0, 2e-9, 1.0])
+        # More Ritz values near an eigenvalue than its multiplicity.
+        with pytest.raises(NotCritical, match="outnumber"):
+            _remove_ritz(spectrum, np.array([1.0, 1.0, 1.0]), 1.0)
+        with pytest.raises(NotCritical, match="lie up to 5.000e-01"):
+            _remove_ritz(spectrum, np.array([1.0]), 0.5)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_one_party_spectrum_empty(self, N):
+        state = normalize(PureState(distinguishable(1, N), np.arange(1, N + 1)))
+        assert complement_hessian_spectrum(state).size == 0
+
+
+class TestSplitCost:
+    """``classify`` reads the spectrum without the complement of the orbit."""
+
+    def test_classify_builds_no_complete_qr(self, monkeypatch):
+        modes = []
+        original = np.linalg.qr
+
+        def recording(a, mode="reduced"):
+            modes.append(mode)
+            return original(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", recording)
+        record = classify(_w_state(8))
+        assert record.morse_index > 0
+        assert modes and "complete" not in modes
+
+    def test_classify_w10_peak_memory(self):
+        state = _w_state(10)
+        tracemalloc.start()
+        try:
+            record = classify(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert record.morse_index > 0
+        # One 1003 x 1003 complex complement block alone takes 16 MB.
+        assert peak < 6e6
 
 
 class TestFdOracle:
