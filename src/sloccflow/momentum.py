@@ -28,7 +28,7 @@ from .statespace import (
     _axis_matrices,
     _axis_views,
     _embed,
-    _factor_one_body,
+    _factor_images,
     _frozen,
     _ket_weights,
     _one_body,
@@ -352,10 +352,8 @@ def _generator_columns(sector: Sector, x: np.ndarray) -> np.ndarray:
     Columns follow ``represented_generators``: each acting factor's generators
     in turn, after any trailing batch axes of ``x``.
     """
-    tensor = _embed(sector, x)
     frame = gell_mann_frame(sector.local_dim)
-    parts = [_factor_one_body(sector, xi, a, tensor) for a in range(sector.acting) for xi in frame]
-    return _project(sector, np.stack(parts, axis=-1))
+    return _project(sector, _factor_images(sector, frame, _embed(sector, x)))
 
 
 def _frame_moments(state: PureState) -> tuple[float, float]:

@@ -16,7 +16,7 @@ spectrum of ``M`` on the complement is ``spec(M)`` with ``spec(M|T)`` taken
 out (the weight-space splitting of Kirwan 1984 and Ness 1984).  ``M`` is
 diagonal on the kets of the local eigenbases, so ``spec(M)`` is the ket
 weights applied to the local eigenvalues; ``spec(M|T)`` is the spectrum of the
-small block of ``M`` on ``[v, orbit]``.
+small block of ``M`` on ``[v, orbit]``, read in the same basis.
 """
 
 from __future__ import annotations
@@ -31,12 +31,11 @@ from .flow import _on_zero_level, gradient_norm
 from .momentum import (
     MomentumPoint,
     _generator_columns,
-    _mu_star,
     _one_body_diagonal,
     momentum,
     mu_star_matrix,
 )
-from .statespace import PureState, normalize
+from .statespace import PureState, _embed, _local_product, _project, normalize
 
 # Frames are built at flow terminals, where residual unstable-direction
 # seeds sit at the gradient-tolerance scale (~1e-9); the cut must sit above
@@ -177,14 +176,18 @@ def _complement_spectrum(state: PureState, point: MomentumPoint) -> np.ndarray:
 
     The span ``T`` of ``v`` and the orbit directions is invariant under the
     frozen momentum operator ``M``, so the complement spectrum is ``spec(M)``
-    with the Ritz values of ``M`` on ``T`` taken out.
+    with the Ritz values of ``M`` on ``T`` taken out.  Both are read in the
+    local eigenbases, where ``M`` is the diagonal ``spectrum``.
     """
+    sector = point.sector
     frame = orbit_tangent_frame(state)
-    Q = np.column_stack([frame.base.amplitudes, frame.orbit_complex])
-    block = Q.conj().T @ _mu_star(point, state.sector, Q)
+    Q = _embed(sector, np.column_stack([frame.base.amplitudes, frame.orbit_complex]))
+    values, vectors = np.linalg.eigh(point.coadjoint_matrices())
+    spectrum = _one_body_diagonal(sector, values)
+    rotated = _project(sector, _local_product(sector, vectors.conj().swapaxes(1, 2), Q))
+    block = rotated.conj().T @ (spectrum[:, None] * rotated)
     lam = float(block[0, 0].real)
     ritz = np.linalg.eigvalsh(0.5 * (block + block.conj().T))
-    spectrum = _one_body_diagonal(point.sector, np.linalg.eigvalsh(point.coadjoint_matrices()))
     return 2.0 * (_remove_ritz(np.sort(spectrum), ritz, lam) - lam)
 
 

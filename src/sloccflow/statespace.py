@@ -305,48 +305,34 @@ def inner(a: PureState, b: PureState) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def _matricize(x: np.ndarray, p: int) -> np.ndarray:
-    """Axis ``p`` of ``x`` as rows, the other axes in order as columns.
-
-    ``X @ X^H`` of this view is the Gram matrix of axis ``p``: the reduced
-    density of party ``p`` for a unit state tensor.
-    """
-    n = x.shape[p]
-    return x.reshape(math.prod(x.shape[:p]), n, -1).transpose(1, 0, 2).reshape(n, -1)
-
-
-def _apply_on_axis(mat: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
-    """``mat`` acting on axis ``p`` of ``x``; axes past the parties may be a batch.
-
-    One GEMM on the matricized view, folded back to the shape of ``x``.
-    """
-    n = x.shape[p]
-    out = mat @ _matricize(x, p)
-    return out.reshape(n, math.prod(x.shape[:p]), -1).transpose(1, 0, 2).reshape(x.shape)
-
-
 @lru_cache(maxsize=None)
 def _axis_maps(parties: int, local_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices of every axis's matricization of a ``(N,)*L`` tensor, and back.
 
-    ``flat[maps]`` is the stack of ``_matricize(tensor, p)`` over the axes,
-    shape ``(L, N, N^(L-1))``; entry ``i`` of axis ``p``'s unfolded view sits
-    at ``inverse[p, i]`` of that stack, flattened.
+    ``flat[maps]`` stacks, shape ``(L, N, N^(L-1))``, each axis as rows and the
+    others in order as columns; tensor entry ``i`` sits at ``inverse[p, i]`` of it, flattened.
     """
     size = local_dim**parties
     index = np.arange(size).reshape((local_dim,) * parties)
-    maps = np.stack([_matricize(index, p) for p in range(parties)])
-    inverse = np.argsort(maps.reshape(parties, size), axis=1)
-    inverse += size * np.arange(parties)[:, None]
+    maps = np.stack([np.moveaxis(index, p, 0).reshape(local_dim, -1) for p in range(parties)])
+    inverse = np.argsort(maps.reshape(parties, size), axis=1) + size * np.arange(parties)[:, None]
     maps.setflags(write=False)
     inverse.setflags(write=False)
     return maps, inverse
 
 
-def _axis_views(tensor: np.ndarray) -> np.ndarray:
-    """Every axis's matricization of a state tensor, stacked in one gather."""
-    maps, _ = _axis_maps(tensor.ndim, tensor.shape[0])
-    return tensor.reshape(-1)[maps]
+def _axis_views(tensor: np.ndarray, parties: int | None = None) -> np.ndarray:
+    """Every axis's matricization of a state tensor, stacked in one gather.
+
+    The first ``parties`` axes (all by default) are unfolded and any further
+    axes kept as a batch: shape ``(L, N, N^(L-1)) + batch``.  Every reduction
+    and one-body image reads these views, so a state without particles stops here.
+    """
+    L = tensor.ndim if parties is None else parties
+    if L == 0:
+        raise ShapeMismatch("a state without particles has no one-particle reduction")
+    maps, _ = _axis_maps(L, tensor.shape[0])
+    return tensor.reshape((-1,) + tensor.shape[L:])[maps]
 
 
 def _gathered_one_body(mats: np.ndarray, views: np.ndarray) -> np.ndarray:
@@ -371,35 +357,48 @@ def _axis_matrices(sector: Sector, mats: list[np.ndarray]) -> np.ndarray:
 def _local_product(sector: Sector, mats: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     """The group action ``M_1 x ... x M_L`` on a tensor; trailing batch axes are kept.
 
-    One matrix per acting factor, each on its ``Sector.copies`` axes.
+    One matrix per acting factor, each on its ``Sector.copies`` axes, applied
+    axis by axis: one GEMM on the leading axis, then one swap that rotates it
+    behind the other parties, so after ``L`` steps every axis is back in place.
     """
+    N = sector.local_dim
+    batch = math.prod(tensor.shape[sector.parties :])
     out = tensor
     for p in range(sector.parties):
-        out = _apply_on_axis(mats[p % sector.acting], out, p)
-    return out
+        out = (mats[p % sector.acting] @ out.reshape(N, -1)).reshape(N, -1, batch).swapaxes(0, 1)
+    return out.reshape(tensor.shape)
 
 
 def _one_body(sector: Sector, mats: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     """The algebra action ``sum_p I x..x M_p x..x I``, one matrix per acting factor.
 
-    A single state tensor goes through the all-axes gather; a batch of
-    columns is applied axis by axis, which never holds every axis's copy of
-    the whole block at once.
+    Each column of a trailing batch goes through the all-axes gather in turn,
+    which never holds every axis's copy of the whole block at once.
     """
-    if tensor.ndim == sector.parties:
-        return _gathered_one_body(np.asarray(mats), _axis_views(tensor))
-    total = np.zeros_like(tensor)
-    for p in range(sector.parties):
-        total += _apply_on_axis(mats[p % sector.acting], tensor, p)
-    return total
+    columns = tensor.reshape(tensor.shape[: sector.parties] + (-1,))
+    out = np.empty_like(columns)
+    for j in range(columns.shape[-1]):
+        out[..., j] = _gathered_one_body(mats, _axis_views(columns[..., j]))
+    return out.reshape(tensor.shape)
 
 
-def _factor_one_body(sector: Sector, mat: np.ndarray, factor: int, x: np.ndarray) -> np.ndarray:
-    """``_one_body`` with ``mat`` in acting factor ``factor`` and zero elsewhere."""
-    total = np.zeros_like(x)
-    for p in range(factor, sector.parties, sector.acting):
-        total += _apply_on_axis(mat, x, p)
-    return total
+def _factor_images(sector: Sector, frame: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """``_one_body`` of each ``frame`` matrix in one acting factor, zero in the others.
+
+    One batched product of the frame with the axis views, folded back through
+    the inverse map; an identical factor sums over its copies.  Shape
+    ``(N,)*L + batch + (acting * K,)``, factor-major.
+    """
+    L, N, K = sector.parties, sector.local_dim, len(frame)
+    views = _axis_views(tensor, L).reshape(L, N, -1)
+    _, inverse = _axis_maps(L, N)
+    # ``(L, N, N^(L-1) * batch, K)``: every frame matrix on every view, in view order.
+    images = np.matmul(views.swapaxes(1, 2)[:, None], frame.transpose(1, 2, 0))
+    folded = np.take(images.reshape(L * N**L, -1), inverse.T, axis=0)
+    if sector.identical:
+        folded = folded.sum(axis=1, keepdims=True)
+    folded = folded.reshape((N**L, sector.acting) + tensor.shape[L:] + (K,))
+    return np.moveaxis(folded, 1, -2).reshape(tensor.shape + (sector.acting * K,))
 
 
 def apply_local(ops: list[LocalOperator] | LocalOperator, state: PureState) -> PureState:

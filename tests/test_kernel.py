@@ -1,52 +1,45 @@
 import ast
+import importlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sloccflow
-from sloccflow import morse
-from sloccflow.critical import classify_with_trace
+from sloccflow import morse, statespace
+from sloccflow.critical import classify, classify_with_trace
 from sloccflow.errors import ShapeMismatch
 from sloccflow.flow import _expm_traceless_hermitian
-from sloccflow.momentum import _shifted_densities
+from sloccflow.momentum import _generator_columns, _shifted_densities, gell_mann_frame
 from sloccflow.statespace import (
-    _apply_on_axis,
+    LocalOperator,
+    PureState,
     _axis_maps,
     _axis_views,
     _embed,
-    _factor_one_body,
     _local_product,
-    _matricize,
     _one_body,
     _project,
+    apply_local,
     bosonic,
+    dicke,
     distinguishable,
     fermionic,
 )
 
+from conftest import random_special_linear
+
 LETTERS = "abcdefg"
 KINDS = [distinguishable(3, 2), bosonic(3, 3), fermionic(2, 4)]
+# The local action on one to five axes of dimension 2 and 3; one axis is the
+# edge case of both the rotating product and the gather.
+ACTION_SECTORS = KINDS + [
+    distinguishable(L, N) for L in range(1, 6) for N in (2, 3) if (L, N) != (3, 2)
+] + [bosonic(1, 3), fermionic(1, 3)]
 
 
 def _complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-@pytest.mark.parametrize("N", [2, 3])
-@pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("batch", [(), (3,)])
-def test_apply_on_axis_matches_einsum(rng, N, L, batch):
-    shape = (N,) * L + batch
-    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    mat = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    axes = LETTERS[: len(shape)]
-    for p in range(L):
-        out_axes = axes[:p] + "z" + axes[p + 1 :]
-        want = np.einsum(f"z{axes[p]},{axes}->{out_axes}", mat, x)
-        got = _apply_on_axis(mat, x, p)
-        assert got.shape == shape
-        assert np.max(np.abs(got - want)) < 1e-12
 
 
 @pytest.mark.parametrize("N", [2, 3])
@@ -56,8 +49,11 @@ def test_axis_views_are_every_matricization(rng, N, L):
     views = _axis_views(x)
     assert views.shape == (L, N, N ** (L - 1))
     for p in range(L):
-        assert np.array_equal(views[p], _matricize(x, p))
+        assert np.array_equal(views[p], np.moveaxis(x, p, 0).reshape(N, -1))
     assert _axis_maps(L, N) is _axis_maps(L, N)
+    batched = _axis_views(x[..., None] * np.arange(1, 4), L)
+    assert batched.shape == views.shape + (3,)
+    assert np.array_equal(batched[..., 2], 3 * views)
 
 
 @pytest.mark.parametrize("sector", KINDS, ids=str)
@@ -104,7 +100,7 @@ def test_classify_builds_one_tangent_frame(monkeypatch, w3):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("sector", KINDS, ids=str)
+@pytest.mark.parametrize("sector", ACTION_SECTORS, ids=str)
 @pytest.mark.parametrize("batch", [(), (3,)])
 def test_local_action_matches_einsum(rng, sector, batch):
     # One matrix per acting factor; an identical-particle factor acts on
@@ -127,8 +123,55 @@ def test_local_action_matches_einsum(rng, sector, batch):
     got = _one_body(sector, mats, x)
     assert got.shape == x.shape
     assert np.max(np.abs(got - want)) < 1e-12
-    by_factor = sum(_factor_one_body(sector, m, a, x) for a, m in enumerate(mats))
-    assert np.max(np.abs(by_factor - want)) < 1e-12
+
+
+@pytest.mark.parametrize("sector", KINDS, ids=str)
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_generator_columns_match_einsum(rng, sector, batch):
+    # Column ``(a, i)`` is frame matrix ``i`` summed over the axes of acting
+    # factor ``a`` and zero on the others, after the batch axes.
+    L = sector.parties
+    x = _complex(rng, (sector.dim,) + batch)
+    t = _embed(sector, x)
+    cols, tail = LETTERS[:L], "z" * len(batch)
+    want = np.stack(
+        [
+            _project(sector, sum(
+                np.einsum(f"Z{cols[p]},{cols}{tail}->{cols[:p]}Z{cols[p + 1:]}{tail}", xi, t)
+                for p in range(a, L, sector.acting)
+            ))
+            for a in range(sector.acting)
+            for xi in gell_mann_frame(sector.local_dim)
+        ],
+        axis=-1,
+    )
+    got = _generator_columns(sector, x)
+    assert got.shape == (sector.dim,) + batch + (want.shape[-1],)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_classify_sends_no_batch_to_the_one_body_sum(monkeypatch, rng):
+    # The Morse block is read in the local eigenbasis, so no batch of tangent
+    # columns goes through the one-body sum.
+    batches = []
+    original = statespace._one_body
+
+    def counting(sector, mats, tensor):
+        if tensor.ndim > sector.parties:
+            batches.append(tensor.shape)
+        return original(sector, mats, tensor)
+
+    for name in ("statespace", "momentum", "flow", "morse", "critical"):
+        # ``sloccflow.momentum`` is the function; the module is looked up by name.
+        module = importlib.import_module(f"sloccflow.{name}")
+        if getattr(module, "_one_body", None) is original:
+            monkeypatch.setattr(module, "_one_body", counting)
+    w8 = np.zeros(2**8, dtype=complex)
+    w8[2 ** np.arange(8)] = 1.0
+    moved = apply_local(LocalOperator(0, random_special_linear(rng, 2, 0.2)), dicke(1, 3))
+    for state in (PureState(distinguishable(8, 2), w8), moved):
+        assert classify(state).morse_index > 0
+    assert batches == []
 
 
 @pytest.mark.parametrize("sector", KINDS, ids=str)
@@ -147,7 +190,8 @@ def test_project_inverts_embed(rng, sector, batch):
 
 def test_only_statespace_applies_matrices_to_axes():
     # The local action has one kernel: every other module goes through the
-    # product and one-body primitives of ``statespace``.
+    # product and one-body primitives of ``statespace`` and never unfolds
+    # tensor axes itself through the axis index maps.
     users = set()
     for path in sorted(Path(sloccflow.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -155,6 +199,6 @@ def test_only_statespace_applies_matrices_to_axes():
             names = [getattr(node, "id", None), getattr(node, "attr", None)]
             if isinstance(node, ast.ImportFrom):
                 names += [alias.name for alias in node.names]
-            if "_apply_on_axis" in names:
+            if "_axis_maps" in names:
                 users.add(path.name)
     assert users == {"statespace.py"}

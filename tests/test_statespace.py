@@ -11,7 +11,9 @@ from sloccflow.errors import (
     ShapeMismatch,
     ZeroState,
 )
-from sloccflow.momentum import mu_star_apply
+from sloccflow.critical import classify, orbit_dimension
+from sloccflow.flow import flow_step, gradient_norm
+from sloccflow.momentum import momentum, mu_star_apply, psi, total_variance
 from sloccflow.statespace import (
     LocalOperator,
     PureState,
@@ -307,6 +309,28 @@ class TestHodgeDual:
     def test_requires_fermions(self, rng):
         with pytest.raises(SectorMismatch):
             hodge_dual(random_state(bosonic(2, 3), rng))
+
+
+# Every reducing path reads the all-axes gather, which a state without
+# particles (the Hodge dual of a top form) does not have.
+REDUCTIONS = {
+    "momentum": momentum,
+    "psi": psi,
+    "classify": classify,
+    "gradient_norm": gradient_norm,
+    "flow_step": lambda state: flow_step(state, 0.1),
+    "mu_star_apply": lambda state: mu_star_apply([np.eye(3)], state),
+    "total_variance": total_variance,
+    "orbit_dimension": orbit_dimension,
+}
+
+
+@pytest.mark.parametrize("entry", REDUCTIONS.values(), ids=REDUCTIONS.keys())
+def test_zero_particle_state_has_no_reduction(entry):
+    state = hodge_dual(basis_state(fermionic(3, 3), (1, 2, 3)))
+    assert state.sector == fermionic(0, 3)
+    with pytest.raises(ShapeMismatch, match="no one-particle reduction"):
+        entry(state)
 
 
 class TestJson:
