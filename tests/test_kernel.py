@@ -44,6 +44,29 @@ def _complex(rng, shape):
 
 @pytest.mark.parametrize("N", [2, 3])
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_apply_on_axis_matches_einsum(rng, N, L, batch):
+    # One matrix on axis p: the product with identities on the other axes and
+    # the one-body sum with zeros on them both act on that axis alone.
+    sector = distinguishable(L, N)
+    shape = (N,) * L + batch
+    x = _complex(rng, shape)
+    mat = _complex(rng, (N, N))
+    axes = LETTERS[: len(shape)]
+    for p in range(L):
+        out_axes = axes[:p] + "z" + axes[p + 1 :]
+        want = np.einsum(f"z{axes[p]},{axes}->{out_axes}", mat, x)
+        identities = [np.eye(N)] * L
+        identities[p] = mat
+        zeros = [np.zeros((N, N))] * L
+        zeros[p] = mat
+        for got in (_local_product(sector, identities, x), _one_body(sector, zeros, x)):
+            assert got.shape == shape
+            assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
 def test_axis_views_are_every_matricization(rng, N, L):
     x = _complex(rng, (N,) * L)
     views = _axis_views(x)
