@@ -1,10 +1,10 @@
 """Gradient flow of the squared momentum norm along invertible local directions.
 
-Each step applies the exact group element ``exp(-step * C_p)`` per party,
-where ``C_p`` are the coadjoint matrices of the current momentum image.  The
-matrices are traceless, so every factor has unit determinant and the
-trajectory stays inside the orbit of invertible local operations by
-construction.
+A plain step applies the exact group element ``exp(-step * C_p)`` per party,
+where ``C_p`` are the coadjoint matrices of the current momentum image, and a
+Gauss-Newton move applies ``exp(xi_a)`` per acting factor.  The exponents are
+traceless, so every factor has unit determinant and the trajectory stays
+inside the orbit of invertible local operations by construction.
 
 Stopping: the flow ends when the gradient norm falls below tolerance, or --
 for trajectories that reach the zero level only in the closure of their
@@ -14,9 +14,12 @@ inside the zero-stratum labeling threshold, so both exits agree on the
 classification; the exit reason is recorded on the trace.
 
 Regimes: the integrator starts on plain fixed-size gradient moves and may
-switch to heavy-ball moves under a line search.  The switch waits for
-``CONSERVATIVE_PREFIX`` moves, or for ``||mu||^2`` to drop below
-``MARGIN_GATE`` times the sector's weight margin ``gamma^2``
+switch to damped Gauss-Newton moves on the Kempf-Ness function,
+``xi = -(J^2 + lam max(1, tr J) I)^-1 J m`` with ``J`` the Jacobian of the
+momentum coordinates ``m``, clipped to ``||xi|| <= TRUST_RADIUS``; the damping
+``lam`` falls by 3 on an accepted move and rises by 4 on a rejected one.  The
+switch waits for ``CONSERVATIVE_PREFIX`` moves, or for ``||mu||^2`` to drop
+below ``MARGIN_GATE`` times the sector's weight margin ``gamma^2``
 (``momentum.weight_margin``): the smallest nonzero critical value candidate
 of ``||mu||^2``, so a flow below it can only end on the zero level.
 """
@@ -33,9 +36,11 @@ from .errors import Divergent, NotConverged, ShapeMismatch, ZeroState
 from .momentum import (
     MomentumPoint,
     SpectrumPoint,
+    _frame_gram,
     _norm_sq,
     _ordered_spectra,
     _shifted_densities,
+    gell_mann_frame,
     momentum,
     weight_margin,
 )
@@ -54,7 +59,6 @@ from .statespace import (
 
 ZERO_STRATUM_MU2 = 1e-8
 SEMISTABLE_EXIT_MU2 = 1e-9
-MAX_LINE_SEARCH_STEP = 1e15
 
 
 @dataclass(frozen=True)
@@ -124,11 +128,9 @@ def _gradient(
     return image - lam * amps, lam
 
 
-def _advance(
-    sector: Sector, mats: np.ndarray, tensor: np.ndarray, step: float
-) -> np.ndarray:
-    """Apply exp(-step * coadjoint) per acting factor and renormalize."""
-    factors = _expm_traceless_hermitian(mats, -step * sector.copies)
+def _advance(sector: Sector, mats: np.ndarray, tensor: np.ndarray, scale: float) -> np.ndarray:
+    """Apply ``exp(scale * m)`` for each acting factor's ``m`` and renormalize."""
+    factors = _expm_traceless_hermitian(mats, scale)
     flat = _project(sector, _local_product(sector, factors, tensor))
     return flat / math.sqrt(np.vdot(flat, flat).real)
 
@@ -143,7 +145,8 @@ def _at(sector: Sector, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 def flow_step(state: PureState, step: float) -> PureState:
     """One exact exponential step down the momentum-norm gradient."""
     tensor, _, mats = _at(state.sector, normalize(state).amplitudes)
-    return PureState(state.sector, _advance(state.sector, mats, tensor, step))
+    scale = -step * state.sector.copies
+    return PureState(state.sector, _advance(state.sector, mats, tensor, scale))
 
 
 def projected_gradient(state: PureState) -> tuple[np.ndarray, float]:
@@ -158,11 +161,26 @@ def gradient_norm(state: PureState) -> float:
     return float(np.linalg.norm(projected_gradient(state)[0]))
 
 
-MOMENTUM_BETA = 0.9
 AGGRESSIVE_RATIO = 1e-8
 CONSERVATIVE_PREFIX = 2000
 # Fraction of the sector's weight margin below which the prefix ends.
 MARGIN_GATE = 0.9
+# Largest norm, in the acting Lie algebra, of one Gauss-Newton move.
+TRUST_RADIUS = 4.0
+
+
+def _gauss_newton(sector: Sector, m: np.ndarray, gram: np.ndarray, lam: float) -> np.ndarray:
+    """``sum_i xi[a, i] frame_i`` per acting factor for the damped, clipped move ``xi``.
+
+    ``J = 2 (gram - m m^T)``, from ``_frame_gram``, is the derivative of the momentum
+    coordinates ``m`` along ``v -> exp(sum_i xi_i X_i) v / ||.||``: the Kempf-Ness Hessian.
+    """
+    J = 2.0 * (gram - np.outer(m, m))
+    xi = -np.linalg.solve(J @ J + lam * max(1.0, np.trace(J)) * np.eye(len(m)), J @ m)
+    if np.linalg.norm(xi) > TRUST_RADIUS:
+        xi *= TRUST_RADIUS / np.linalg.norm(xi)
+    frame = gell_mann_frame(sector.local_dim)
+    return np.tensordot(xi.reshape(sector.acting, len(frame)), frame, axes=1)
 
 
 def flow_to_critical(
@@ -183,16 +201,19 @@ def flow_to_critical(
     fires on it.  Sectors without a margin (too many weight subsets) keep the
     full prefix.  Afterwards two regimes alternate on ``grad^2/||mu||^2``:
     away from nonzero critical values (ratio large, which includes the
-    approach to the zero level) the descent direction carries heavy-ball
-    memory in the acting Lie algebra and the step grows under a monotone
-    line search -- this covers the semistable tails, which are only
-    polynomial in plain flow time, in few moves; near a nonzero critical
-    value (ratio small) the integrator stays on fixed-size gradient moves.
+    approach to the zero level) a move is one damped Gauss-Newton step on the
+    Kempf-Ness function (Buergisser et al., arXiv:1910.12375), ``exp(xi_a)``
+    per acting factor with ``xi = -(J^2 + lam max(1, tr J) I)^-1 J m`` over the
+    frame (``_gauss_newton``), clipped to ``||xi|| <= TRUST_RADIUS``; ``lam``
+    starts at 1e-2, falls by 3 on an accepted move (to 1e-12 at least) and
+    rises by 4 on a rejected one.  This crosses the semistable tails, which
+    are only polynomial in plain flow time, in few moves; near a nonzero
+    critical value (ratio small) it stays on fixed-size gradient moves.
     The caution exists because rounding noise places every stored state a
-    relative 1e-16 off its orbit, generically into a lower stratum, and an
-    accelerated integrator can amplify that seed through the stratum
-    boundary before the gradient test fires.  Every move in either regime
-    is an exact unit-determinant group element.
+    relative 1e-16 off its orbit, generically into a lower stratum, and a
+    second-order move can amplify that seed through the stratum boundary
+    before the gradient test fires.  Every move in either regime is an exact
+    unit-determinant group element.
 
     Raises NotConverged (with the partial trace attached) at the iteration
     cap.
@@ -203,15 +224,15 @@ def flow_to_critical(
     tensor, views, mats = _at(sector, amps)
     trace = FlowTrace()
     step = config.step_size
+    lam = 1e-2
     mu2 = _norm_sq(sector, mats)
-    direction = mats
     margin = weight_margin(sector)
     gate_mu2 = -math.inf if margin is None else MARGIN_GATE * margin
     iteration = 0
-    grad_norm = None
+    # A rejected move leaves the state, hence its gradient and columns, as it was.
+    grad_norm = frame_gram = None
     while True:
         if grad_norm is None:
-            # A rejected move leaves the state, hence the gradient, as it was.
             grad, _ = _gradient(sector, mats, views, amps)
             grad_norm = math.sqrt(np.vdot(grad, grad).real)
         if grad_norm < trace.best_grad_norm:
@@ -239,25 +260,24 @@ def flow_to_critical(
             iteration >= CONSERVATIVE_PREFIX or mu2 < gate_mu2
         ) and grad_norm**2 >= AGGRESSIVE_RATIO * mu2
         if aggressive:
-            move_direction, move_step = direction, step
+            if frame_gram is None:
+                frame_gram = _frame_gram(sector, tensor)
+            trial = _advance(sector, _gauss_newton(sector, *frame_gram, lam), tensor, 1.0)
         else:
-            move_direction, move_step = mats, min(step, config.step_size)
-        trial = _advance(sector, move_direction, tensor, move_step)
+            trial = _advance(sector, mats, tensor, -step * sector.copies)
         trial_tensor, trial_views, trial_mats = _at(sector, trial)
         trial_mu2 = _norm_sq(sector, trial_mats)
         # Accept non-increase within rounding noise: true decreases near a
         # nonzero critical value fall below float resolution of mu2 itself.
-        slack = 1e-13 * max(1.0, mu2)
-        delta = trial_mu2 - mu2
-        if np.isfinite(trial_mu2) and delta <= slack:
+        if np.isfinite(trial_mu2) and trial_mu2 - mu2 <= 1e-13 * max(1.0, mu2):
             amps, tensor, views, mats = trial, trial_tensor, trial_views, trial_mats
             mu2 = trial_mu2
-            grad_norm = None
-            direction = mats + MOMENTUM_BETA * direction
-            if aggressive and delta < -slack:
-                step = min(step * 2.0, MAX_LINE_SEARCH_STEP)
+            grad_norm = frame_gram = None
+            if aggressive:
+                lam = max(lam / 3.0, 1e-12)
+        elif aggressive:
+            lam *= 4.0
         else:
-            direction = mats
             step = max(step * 0.25, 1e-9 * config.step_size)
         iteration += 1
     trace.terminal = PureState(sector, amps)

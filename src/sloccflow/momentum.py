@@ -32,6 +32,7 @@ from .statespace import (
     _frozen,
     _ket_weights,
     _one_body,
+    _one_body_matrix,
     _project,
 )
 
@@ -209,17 +210,15 @@ def momentum(state: PureState) -> MomentumPoint:
     return MomentumPoint(sector, tuple(_shifted_densities(views, sector.acting)))
 
 
-def _mu_star(
-    point: MomentumPoint | SpectrumPoint | list[np.ndarray],
-    sector: Sector,
-    x: np.ndarray,
+def _point_matrices(
+    point: MomentumPoint | SpectrumPoint | list[np.ndarray], sector: Sector
 ) -> np.ndarray:
-    """One-body sum of ``point`` on sector amplitudes ``x`` (batch axis kept)."""
+    """The stacked matrices ``point`` acts by in a one-body sum on ``sector``."""
     if isinstance(point, MomentumPoint):
         point = point.coadjoint_matrices()
     elif isinstance(point, SpectrumPoint):
         point = point.as_diagonal_matrices()
-    return _project(sector, _one_body(sector, _axis_matrices(sector, point), _embed(sector, x)))
+    return _axis_matrices(sector, point)
 
 
 def _one_body_diagonal(sector: Sector, spectra) -> np.ndarray:
@@ -247,14 +246,15 @@ def mu_star_apply(
     A MomentumPoint acts through its coadjoint matrices; a SpectrumPoint acts
     as diagonal matrices; a raw list of matrices is applied as given.
     """
-    return _mu_star(point, state.sector, state.amplitudes)
+    mats = _point_matrices(point, state.sector)
+    return _project(state.sector, _one_body(state.sector, mats, state.to_tensor()))
 
 
 def mu_star_matrix(
     point: MomentumPoint | SpectrumPoint | list[np.ndarray], sector: Sector
 ) -> np.ndarray:
     """Dense sector-basis matrix of the one-body sum ``sum_p embed_p(M_p)``."""
-    return _mu_star(point, sector, np.eye(sector.dim, dtype=complex))
+    return _one_body_matrix(sector, _point_matrices(point, sector))
 
 
 def mu_norm_sq(state: PureState) -> float:
@@ -356,6 +356,13 @@ def _generator_columns(sector: Sector, x: np.ndarray) -> np.ndarray:
     return _project(sector, _factor_images(sector, frame, _embed(sector, x)))
 
 
+def _frame_gram(sector: Sector, tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``Re(v^H C)`` and ``Re(C^H C)`` for the frame columns ``C = [X_i v]`` on a tensor ``v``."""
+    cols = _factor_images(sector, gell_mann_frame(sector.local_dim), tensor)
+    cols = cols.reshape(tensor.size, -1)
+    return (tensor.reshape(-1).conj() @ cols).real, (cols.conj().T @ cols).real
+
+
 def _frame_moments(state: PureState) -> tuple[float, float]:
     """``sum_i <X_i^2>`` and ``sum_i <X_i>^2`` over the local observable frame.
 
@@ -366,10 +373,8 @@ def _frame_moments(state: PureState) -> tuple[float, float]:
     norm_sq = float(np.vdot(v, v).real)
     if norm_sq <= 0.0:
         raise ShapeMismatch("cannot reduce a zero state")
-    cols = _generator_columns(state.sector, v)
-    squares = float(np.vdot(cols, cols).real) / norm_sq
-    means = float(np.sum((v.conj() @ cols).real ** 2)) / norm_sq**2
-    return squares, means
+    means, gram = _frame_gram(state.sector, state.to_tensor())
+    return float(np.trace(gram)) / norm_sq, float(means @ means) / norm_sq**2
 
 
 def total_variance(state: PureState) -> float:

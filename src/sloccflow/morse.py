@@ -110,16 +110,11 @@ class TangentFrame:
 def orbit_tangent_frame(state: PureState, rel_tol: float = FRAME_REL_TOL) -> TangentFrame:
     """Split the tangent space at ``state`` into orbit and complement frames."""
     state = normalize(state)
-    v = state.amplitudes
-    dim = state.sector.dim
     U, s, _ = np.linalg.svd(orbit_action_columns(state), full_matrices=False)
     rank = int(np.sum(s > (s[0] if s.size and s[0] > 0 else 1.0) * rel_tol))
-    orbit = U[:, :rank]
-    # The base point and the orbit directions must stay independent.
-    R = np.linalg.qr(np.column_stack([v, orbit]), mode="r")
-    if rank + 1 > dim or np.any(np.abs(np.diag(R)) < 0.5):
-        raise RuntimeError("tangent frame construction lost dimensions")
-    return TangentFrame(state, orbit)
+    # Orthonormal columns, all orthogonal to ``v``: the columns were projected
+    # off it, so there are at most ``dim - 1`` of them.
+    return TangentFrame(state, U[:, :rank])
 
 
 def morse_index(

@@ -382,6 +382,19 @@ def _one_body(sector: Sector, mats: np.ndarray, tensor: np.ndarray) -> np.ndarra
     return out.reshape(tensor.shape)
 
 
+def _one_body_matrix(sector: Sector, mats: np.ndarray) -> np.ndarray:
+    """Dense sector-basis matrix of ``_one_body``: the Kronecker sum, through the isometry."""
+    L, N = sector.parties, sector.local_dim
+    out = np.zeros((N**L, N**L), dtype=complex)
+    for p in range(L):
+        # ``I_(N^p) x M_p x I`` on the blocks ``[i, :, j, i, :, j]``, a view into ``out``.
+        blocks = out.reshape(N**p, N, N ** (L - p - 1), N**p, N, N ** (L - p - 1))
+        np.einsum("ixjiyj->ijxy", blocks)[...] += mats[p % sector.acting]
+    if sector.identical:
+        out = embedding_isometry(sector).T @ out @ embedding_isometry(sector)
+    return out
+
+
 def _factor_images(sector: Sector, frame: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     """``_one_body`` of each ``frame`` matrix in one acting factor, zero in the others.
 

@@ -1,11 +1,15 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from sloccflow.cli import build_parser, main
 from sloccflow.demos import DemoTable, run_demo
 from sloccflow.errors import UnknownDemo
+from sloccflow.flow import flow_to_critical
+from sloccflow.momentum import mu_norm_sq
+from sloccflow.statespace import state_from_json
 
 
 @pytest.fixture
@@ -182,6 +186,20 @@ class TestFlow:
     def test_single_sample_for_critical_input(self, w3_file, capsys):
         assert main(["flow", w3_file]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 1
+
+    def test_saved_terminal_is_the_trace_terminal(self, ghz_class_file, tmp_path, capsys):
+        term = tmp_path / "terminal.json"
+        assert main(["flow", ghz_class_file, "--save-terminal", str(term)]) == 0
+        last = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        with open(ghz_class_file, encoding="utf-8") as handle:
+            terminal, trace = flow_to_critical(state_from_json(handle.read()))
+        document = json.loads(term.read_text())
+        assert document == terminal.to_json()
+        loaded = state_from_json(document)
+        assert loaded.sector == terminal.sector
+        assert np.max(np.abs(loaded.amplitudes - terminal.amplitudes)) < 1e-15
+        assert last["mu_norm_sq"] == trace.samples[-1][1]
+        assert mu_norm_sq(loaded) == pytest.approx(last["mu_norm_sq"], abs=1e-15)
 
 
 class TestDemo:

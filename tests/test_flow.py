@@ -228,57 +228,97 @@ class TestMarginGate:
         assert record.stability is FOUR_QUBIT_STABILITY[name]
         assert record.morse_index == 0
 
-    @pytest.mark.parametrize(
-        "name",
-        [
-            pytest.param(
-                name,
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason=(
-                        "Below the margin the heavy-ball regime crawls on L_ab3 "
-                        "from mu2 3e-7 to 1e-9 (about 3 900 iterations): a "
-                        "rejected move resets the momentum every few moves."
-                    ),
-                ),
-            )
-            if name == "L_ab3"
-            else name
-            for name in FOUR_QUBIT_STABILITY
-        ],
-    )
+    @pytest.mark.parametrize("name", list(FOUR_QUBIT_STABILITY))
     def test_four_qubit_families_leave_the_prefix_early(self, four_qubit_classified, name):
         _, trace = four_qubit_classified[name]
         assert trace.samples[-1][0] < CONSERVATIVE_PREFIX
 
 
-def test_rejected_move_costs_no_gradient(monkeypatch):
-    # L_ab3 rejects moves early below the margin; each one-body image
-    # evaluation must belong to a new state.
-    state = four_qubit_family("L_ab3", FOUR_QUBIT_DEMO_PARAMS["L_ab3"])
-    starts, trials, images = [], [], []
-    advance, one_body = flow._advance, flow._gathered_one_body
+def _binary_form(parties, coefficients):
+    """The binary form with ``x^n1 y^n2`` coefficients as a symmetric qubit state."""
+    sector = bosonic(parties, 2)
+    amps = [
+        coefficients.get(n1, 0) / math.sqrt(math.comb(parties, n1))
+        for n1, _ in sector.basis_labels()
+    ]
+    return normalize(PureState(sector, np.array(amps, dtype=complex)))
 
-    def counting_advance(sector, mats, tensor, step):
+
+# Strictly semistable inputs on which ``mu2`` falls only like 1/n under plain
+# moves; the binary forms are those of ``tests/test_critical.py::TestStability``.
+CRAWLING_STATES = {
+    "L_ab3": lambda: four_qubit_family("L_ab3", FOUR_QUBIT_DEMO_PARAMS["L_ab3"]),
+    "x2y(x-y)": lambda: _binary_form(4, {3: 1, 2: -1}),
+    "x3y(x-y)(x-2y)": lambda: _binary_form(6, {5: 1, 4: -3, 3: 2}),
+}
+
+
+@pytest.mark.parametrize("name", list(CRAWLING_STATES))
+def test_semistable_tails_end_in_few_moves(name):
+    _, trace = flow_to_critical(CRAWLING_STATES[name]())
+    assert trace.stopped_on == "zero_level"
+    assert trace.samples[-1][0] < 50
+
+
+def test_gauss_newton_move_stays_in_the_trust_radius():
+    # A nearly flat J makes the damped step long; the clip keeps its direction.
+    sector = distinguishable(2, 2)
+    m = np.arange(1.0, 7.0)
+    gram = np.outer(m, m) + 1e-6 * np.eye(6)
+    generators = flow._gauss_newton(sector, m, gram, 1e-12)
+    frame = flow.gell_mann_frame(2)
+    want = -np.tensordot(m.reshape(2, 3), frame, axes=1)
+    norm = np.linalg.norm(generators)
+    assert norm == pytest.approx(flow.TRUST_RADIUS)
+    # ``gram - m m^T`` cancels about eight digits here.
+    assert np.max(np.abs(generators / norm - want / np.linalg.norm(want))) < 1e-8
+
+
+def test_rejected_move_costs_no_gradient(monkeypatch):
+    # Each one-body image and each column build must belong to a new state.
+    starts, trials, images, columns = [], [], [], []
+    advance, one_body, frame_gram = flow._advance, flow._gathered_one_body, flow._frame_gram
+
+    def counting_advance(sector, mats, tensor, scale):
         starts.append(tensor)
-        trials.append(advance(sector, mats, tensor, step))
+        trials.append(advance(sector, mats, tensor, scale))
         return trials[-1]
 
     def counting_one_body(mats, views):
         images.append(views)
         return one_body(mats, views)
 
+    def counting_frame_gram(sector, tensor):
+        columns.append(tensor)
+        return frame_gram(sector, tensor)
+
     monkeypatch.setattr(flow, "_advance", counting_advance)
     monkeypatch.setattr(flow, "_gathered_one_body", counting_one_body)
-    with pytest.raises(NotConverged) as excinfo:
-        flow_to_critical(state, FlowConfig(max_iterations=300))
-    # A move is accepted when the next one starts from a new tensor; the
-    # last one when its trial is the terminal.
-    terminal = excinfo.value.trace.terminal.amplitudes
-    accepted = sum(b is not a for a, b in zip(starts, starts[1:]))
-    accepted += np.array_equal(terminal, trials[-1])
-    assert len(starts) - accepted > 0
-    assert len(images) == accepted + 1
+    monkeypatch.setattr(flow, "_frame_gram", counting_frame_gram)
+    rejecting = [
+        # Plain moves throughout, above the W level: the first steps are too large.
+        (
+            perturbed_w(qubits([0, 1, 1, 0, 1, 0, 0, 0], 3)),
+            FlowConfig(step_size=50.0, max_iterations=8),
+            False,
+        ),
+        # Below the margin from the start: Gauss-Newton moves, some rejected.
+        (CRAWLING_STATES["x2y(x-y)"](), FlowConfig(max_iterations=8), True),
+    ]
+    for state, config, gauss_newton in rejecting:
+        for counted in (starts, trials, images, columns):
+            counted.clear()
+        with pytest.raises(NotConverged) as excinfo:
+            flow_to_critical(state, config)
+        # A move is accepted when the next one starts from a new tensor; the
+        # last one when its trial is the terminal.
+        terminal = excinfo.value.trace.terminal.amplitudes
+        accepted = sum(b is not a for a, b in zip(starts, starts[1:]))
+        accepted += np.array_equal(terminal, trials[-1])
+        assert len(starts) - accepted > 0
+        assert len(images) == accepted + 1
+        assert len({id(t) for t in columns}) == len(columns)
+        assert bool(columns) == gauss_newton
 
 
 class TestSloccDistance:

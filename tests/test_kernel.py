@@ -19,6 +19,7 @@ from sloccflow.statespace import (
     _embed,
     _local_product,
     _one_body,
+    _one_body_matrix,
     _project,
     apply_local,
     bosonic,
@@ -171,6 +172,16 @@ def test_generator_columns_match_einsum(rng, sector, batch):
     got = _generator_columns(sector, x)
     assert got.shape == (sector.dim,) + batch + (want.shape[-1],)
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("sector", ACTION_SECTORS, ids=str)
+def test_one_body_matrix_is_the_one_body_sum(rng, sector):
+    # The Kronecker sum, column by column against the sum applied to each basis ket.
+    N = sector.local_dim
+    mats = np.stack([_complex(rng, (N, N)) for _ in range(sector.acting)])
+    eye = np.eye(sector.dim, dtype=complex)
+    want = _project(sector, _one_body(sector, mats, _embed(sector, eye)))
+    assert np.max(np.abs(_one_body_matrix(sector, mats) - want)) < 1e-12
 
 
 def test_classify_sends_no_batch_to_the_one_body_sum(monkeypatch, rng):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sloccflow import morse
 from sloccflow.critical import classify
 
 from sloccflow.errors import NotCritical
@@ -265,17 +266,22 @@ class TestSplitCost:
     """``classify`` reads the spectrum without the complement of the orbit."""
 
     def test_classify_builds_no_complete_qr(self, monkeypatch):
-        modes = []
-        original = np.linalg.qr
+        modes, frames = [], []
+        original, frame = np.linalg.qr, morse.orbit_tangent_frame
 
         def recording(a, mode="reduced"):
             modes.append(mode)
             return original(a, mode=mode)
 
+        def counting(state, *args, **kwargs):
+            frames.append(state)
+            return frame(state, *args, **kwargs)
+
         monkeypatch.setattr(np.linalg, "qr", recording)
+        monkeypatch.setattr(morse, "orbit_tangent_frame", counting)
         record = classify(_w_state(8))
         assert record.morse_index > 0
-        assert modes and "complete" not in modes
+        assert frames and "complete" not in modes
 
     def test_classify_w10_peak_memory(self):
         state = _w_state(10)
