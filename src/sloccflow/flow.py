@@ -13,15 +13,17 @@ orbit, where the gradient decays polynomially in flow time -- when
 inside the zero-stratum labeling threshold, so both exits agree on the
 classification; the exit reason is recorded on the trace.
 
-Regimes: the integrator starts on plain fixed-size gradient moves and may
-switch to damped Gauss-Newton moves on the Kempf-Ness function,
+Regimes: the integrator starts on plain fixed-size gradient moves and
+switches to damped Gauss-Newton moves on the Kempf-Ness function,
 ``xi = -(J^2 + lam max(1, tr J) I)^-1 J m`` with ``J`` the Jacobian of the
 momentum coordinates ``m``, clipped to ``||xi|| <= TRUST_RADIUS``; the damping
-``lam`` falls by 3 on an accepted move and rises by 4 on a rejected one.  The
-switch waits for ``CONSERVATIVE_PREFIX`` moves, or for ``||mu||^2`` to drop
-below ``MARGIN_GATE`` times the sector's weight margin ``gamma^2``
-(``momentum.weight_margin``): the smallest nonzero critical value candidate
-of ``||mu||^2``, so a flow below it can only end on the zero level.
+``lam`` falls by 3 on an accepted move and rises by 4 on a rejected one.  A
+move is Gauss-Newton once ``CONSERVATIVE_PREFIX`` moves are done or once
+``||mu||^2`` is below ``MARGIN_GATE`` times the sector's weight margin
+``gamma^2`` (``momentum.weight_margin``): the smallest nonzero critical value
+candidate of ``||mu||^2``, so a flow below it can only end on the zero level.
+``FlowConfig.step_size``, like ``flow_step``'s ``step``, sizes plain moves only;
+a Gauss-Newton move is sized by ``lam`` and ``TRUST_RADIUS``.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ SEMISTABLE_EXIT_MU2 = 1e-9
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Integrator knobs: step size, gradient tolerance, caps, sampling."""
+    """Integrator knobs: plain-move step size, gradient tolerance, caps, sampling."""
 
     step_size: float = 0.05
     tolerance: float = 1e-9
@@ -161,7 +163,6 @@ def gradient_norm(state: PureState) -> float:
     return float(np.linalg.norm(projected_gradient(state)[0]))
 
 
-AGGRESSIVE_RATIO = 1e-8
 CONSERVATIVE_PREFIX = 2000
 # Fraction of the sector's weight margin below which the prefix ends.
 MARGIN_GATE = 0.9
@@ -189,31 +190,31 @@ def flow_to_critical(
     """Integrate until the gradient norm (or the zero level) is resolved.
 
     The first ``CONSERVATIVE_PREFIX`` moves are plain fixed-size gradient
-    steps; flows into null-cone critical orbits converge inside this prefix
-    at desk scale.  The prefix ends early once ``||mu||^2`` drops below
+    steps of ``config.step_size``; flows into null-cone critical orbits
+    converge inside this prefix at desk scale.  The caution exists because
+    rounding noise places every stored state a relative 1e-16 off its orbit,
+    generically into a lower stratum, and a second-order move can amplify
+    that seed through the stratum boundary before the gradient test fires
+    on a nonzero level.  The prefix ends early once ``||mu||^2`` drops below
     ``MARGIN_GATE * gamma^2``, where ``gamma^2 = weight_margin(sector)`` is
     the sector's smallest nonzero critical value candidate: every nonzero
     critical value is ``||beta||^2`` for ``beta`` the minimum-norm point of
     the convex hull of some ket weights (Ness; Kirwan), and no accepted move
     raises ``||mu||^2`` beyond rounding slack, so below that point only the
-    zero level remains and the prefix protects nothing.  A flow ending on a
+    zero level remains and the caution protects nothing.  A flow ending on a
     nonzero level ``l`` stays at or above ``l >= gamma^2``, so the gate never
     fires on it.  Sectors without a margin (too many weight subsets) keep the
-    full prefix.  Afterwards two regimes alternate on ``grad^2/||mu||^2``:
-    away from nonzero critical values (ratio large, which includes the
-    approach to the zero level) a move is one damped Gauss-Newton step on the
-    Kempf-Ness function (Buergisser et al., arXiv:1910.12375), ``exp(xi_a)``
-    per acting factor with ``xi = -(J^2 + lam max(1, tr J) I)^-1 J m`` over the
-    frame (``_gauss_newton``), clipped to ``||xi|| <= TRUST_RADIUS``; ``lam``
+    full prefix.
+
+    Past the prefix or below the gate, every move is one damped
+    Gauss-Newton step on the Kempf-Ness function (Buergisser et al.,
+    arXiv:1910.12375), ``exp(xi_a)`` per acting factor with
+    ``xi = -(J^2 + lam max(1, tr J) I)^-1 J m`` over the frame
+    (``_gauss_newton``), clipped to ``||xi|| <= TRUST_RADIUS``; ``lam``
     starts at 1e-2, falls by 3 on an accepted move (to 1e-12 at least) and
     rises by 4 on a rejected one.  This crosses the semistable tails, which
-    are only polynomial in plain flow time, in few moves; near a nonzero
-    critical value (ratio small) it stays on fixed-size gradient moves.
-    The caution exists because rounding noise places every stored state a
-    relative 1e-16 off its orbit, generically into a lower stratum, and a
-    second-order move can amplify that seed through the stratum boundary
-    before the gradient test fires.  Every move in either regime is an exact
-    unit-determinant group element.
+    are only polynomial in plain flow time, in few moves.  Every move of
+    either kind is an exact unit-determinant group element.
 
     Raises NotConverged (with the partial trace attached) at the iteration
     cap.
@@ -256,10 +257,8 @@ def flow_to_critical(
             return trace.terminal, trace
         if iteration >= config.max_iterations:
             break
-        aggressive = (
-            iteration >= CONSERVATIVE_PREFIX or mu2 < gate_mu2
-        ) and grad_norm**2 >= AGGRESSIVE_RATIO * mu2
-        if aggressive:
+        gauss_newton = iteration >= CONSERVATIVE_PREFIX or mu2 < gate_mu2
+        if gauss_newton:
             if frame_gram is None:
                 frame_gram = _frame_gram(sector, tensor)
             trial = _advance(sector, _gauss_newton(sector, *frame_gram, lam), tensor, 1.0)
@@ -273,9 +272,9 @@ def flow_to_critical(
             amps, tensor, views, mats = trial, trial_tensor, trial_views, trial_mats
             mu2 = trial_mu2
             grad_norm = frame_gram = None
-            if aggressive:
+            if gauss_newton:
                 lam = max(lam / 3.0, 1e-12)
-        elif aggressive:
+        elif gauss_newton:
             lam *= 4.0
         else:
             step = max(step * 0.25, 1e-9 * config.step_size)

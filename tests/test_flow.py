@@ -207,9 +207,21 @@ class TestMarginGate:
     @pytest.mark.parametrize("name", list(NONZERO_LEVEL_STATES))
     @pytest.mark.parametrize("seed", [0, 1])
     def test_nonzero_level_flows_do_not_see_the_gate(self, monkeypatch, name, seed):
+        # Such a flow stays above the gate and converges inside the prefix, so
+        # it takes no Gauss-Newton move and never builds a move's Gram.
+        columns = []
+        frame_gram = flow._frame_gram
+
+        def counting_frame_gram(sector, tensor):
+            columns.append(tensor)
+            return frame_gram(sector, tensor)
+
+        monkeypatch.setattr(flow, "_frame_gram", counting_frame_gram)
         state = _moved(NONZERO_LEVEL_STATES[name](), np.random.default_rng(seed))
         assert weight_margin(state.sector) is not None
         gated, gated_trace = flow_to_critical(state)
+        assert gated_trace.stopped_on == "gradient"
+        assert not columns
         monkeypatch.setattr(flow, "weight_margin", lambda sector: None)
         plain, plain_trace = flow_to_critical(state)
         assert gated_trace.samples == plain_trace.samples
