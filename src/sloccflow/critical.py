@@ -4,8 +4,8 @@ Null-cone critical states are found by scanning candidate Weyl-chamber points
 ``alpha``: the operator built from ``alpha`` is diagonal in every canonical
 sector basis, its degenerate eigenspaces are enumerated, and inside each
 eigenspace the states whose momentum image equals ``alpha`` are located by
-projected gradient descent on the unit sphere.  Every returned state is an
-actual critical point of the squared momentum norm.
+the flow of the squared momentum norm, which stays inside the eigenspace.
+Every returned state is an actual critical point of the squared momentum norm.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from itertools import product
 
 import numpy as np
 
+from .errors import NotConverged
 from .flow import (
     ZERO_STRATUM_MU2,
     FlowConfig,
@@ -31,7 +32,6 @@ from .momentum import (
     _one_body_diagonal,
     casimir_constant,
     momentum,
-    mu_star_apply,
     psi,
 )
 from .morse import (
@@ -48,7 +48,6 @@ from .statespace import (
 )
 
 DEGENERACY_REL_GAP = 1e-9
-SELF_CONSISTENCY_ACCEPT = 1e-16
 # Largest distance of a block eigenvalue from the level ``||alpha||^2`` at
 # which NNLS still runs: about 1000x the slack of a feasible block.
 LEVEL_TOL = 1e-6
@@ -183,7 +182,7 @@ def _marginal_feasible(report: EigenspaceReport, tol: float = 1e-9) -> bool:
     Solves a nonnegative least-squares for a probability vector over the
     eigenspace's basis kets whose per-party level populations equal the
     target density diagonals; infeasibility rules the eigenspace out before
-    any sphere search.  Every ket of the block has chamber value
+    any flow.  Every ket of the block has chamber value
     ``c . A[:, k]`` equal to the block eigenvalue, where ``c`` stacks the
     spectra (times ``L`` for identical particles), so a feasible block lies
     at the level ``c . b = ||alpha||^2``; blocks off that level skip the
@@ -201,15 +200,6 @@ def _marginal_feasible(report: EigenspaceReport, tol: float = 1e-9) -> bool:
     return residual <= tol
 
 
-def _residual_matrices(state: PureState, targets: list[np.ndarray]) -> list[np.ndarray]:
-    point = momentum(state)
-    return [m - t for m, t in zip(point.matrices, targets)]
-
-
-def _consistency_objective(state: PureState, targets: list[np.ndarray]) -> float:
-    return float(sum(np.sum(np.abs(r) ** 2) for r in _residual_matrices(state, targets)))
-
-
 def self_consistent_critical(
     report: EigenspaceReport,
     tol: float = 1e-8,
@@ -219,68 +209,38 @@ def self_consistent_critical(
 ) -> list[PureState]:
     """The first verified state in the eigenspace whose momentum image is ``alpha``.
 
-    Minimizes the squared Frobenius distance of the momentum image to the
-    chamber point over the unit sphere of the eigenspace span (projected
-    gradient descent with backtracking), from the uniform vector and then
-    from seeded random vectors.  The first minimum below the acceptance
-    threshold that verifies as critical with the requested spectrum is
-    returned as a one-element list: ``d`` and the Morse index are constant
-    on the critical set of ``alpha``, so one representative carries them.
-    ``restarts`` bounds the number of starts; an empty list means none of
-    them verified.
+    Flows ``||mu||^2`` (``flow_to_critical``) from the uniform vector of the
+    block and then from seeded random vectors in it.  The flow never leaves
+    the block: for ``v`` in it, ``mu(v)`` commutes with ``alpha``, so every
+    move keeps ``v`` there.  On the block ``<mu, alpha> = ||alpha||^2``, which
+    forces ``||mu||^2 >= ||alpha||^2`` with equality exactly when
+    ``mu = alpha`` (Kirwan 1984; Ness 1984), so the minima of the flow in the
+    block are the states sought.  The first terminal that verifies as
+    critical with the requested spectrum is returned as a one-element list:
+    ``d`` and the Morse index are constant on the critical set of ``alpha``,
+    so one representative carries them.  ``restarts`` bounds the number of
+    starts and ``max_iterations`` caps the flow moves of each; a start whose
+    flow hits the cap is skipped.  An empty list means none of them verified.
     """
     if not _marginal_feasible(report):
         return []
     sector = report.alpha.sector
-    basis = report.basis
     m = report.multiplicity
-    # The momentum image to reach: ``diag(alpha_p)`` for each party.
-    targets = report.alpha.as_diagonal_matrices()
-
-    def lift(z: np.ndarray) -> PureState:
-        return PureState(sector, basis @ z)
-
     rng = np.random.default_rng(seed)
-    starts = [np.ones(m) / math.sqrt(m)] + [
-        _unit(rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    starts = [np.ones(m)] + [
+        rng.standard_normal(m) + 1j * rng.standard_normal(m)
         for _ in range(max(restarts - 1, 0))
     ]
+    config = FlowConfig(max_iterations=max_iterations)
     for z0 in starts:
-        z = z0
-        value = _consistency_objective(lift(z), targets)
-        step = 0.5
-        for _ in range(max_iterations):
-            if value <= SELF_CONSISTENCY_ACCEPT:
-                break
-            state = lift(z)
-            residuals = _residual_matrices(state, targets)
-            grad_full = 2.0 * mu_star_apply(residuals, state)
-            g = basis.conj().T @ grad_full
-            g_t = g - z * np.vdot(z, g)
-            gnorm = float(np.linalg.norm(g_t))
-            if gnorm < 1e-14:
-                break
-            while step > 1e-12:
-                trial = _unit(z - step * g_t)
-                trial_value = _consistency_objective(lift(trial), targets)
-                if trial_value < value:
-                    z, value = trial, trial_value
-                    step = min(step * 1.5, 2.0)
-                    break
-                step *= 0.5
-            else:
-                break
-        if value > SELF_CONSISTENCY_ACCEPT:
+        try:
+            candidate, _ = flow_to_critical(PureState(sector, report.basis @ z0), config)
+        except NotConverged:
             continue
-        candidate = normalize(lift(z))
         ok, _ = is_critical(candidate, tol)
         if ok and psi(candidate).allclose(report.alpha, tol):
             return [candidate]
     return []
-
-
-def _unit(z: np.ndarray) -> np.ndarray:
-    return z / np.linalg.norm(z)
 
 
 def orbit_dimension(state: PureState, rel_tol: float = 1e-10) -> int:

@@ -156,10 +156,11 @@ def scan_qubit_families(
     """Null-cone family scan for ``parties`` distinguishable qubits.
 
     Walks the rational chamber grid, enumerates eigenvalue blocks of each
-    chamber operator, solves the momentum self-consistency inside every
-    feasible block, and groups the surviving critical states by stratum.
-    The zero-level family, when present, is located by flowing a seeded
-    random state.
+    chamber operator, flows ``||mu||^2`` inside every feasible block to a
+    state whose momentum image is the chamber point
+    (``self_consistent_critical``), and groups the critical states found by
+    stratum.  The zero-level family, when present, is located by flowing a
+    seeded random state.
     """
     sector = distinguishable(parties, 2)
     grid = qubit_weyl_grid(parties, max_denominator)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls as reference_nnls
 
-from sloccflow import critical
+from sloccflow import critical, flow
 from sloccflow.canonical import gabcd
 from sloccflow.critical import (
     LEVEL_TOL,
@@ -22,13 +22,14 @@ from sloccflow.critical import (
     self_consistent_critical,
     stability_class,
 )
-from sloccflow.errors import NotInWeylChamber, ShapeMismatch
+from sloccflow.errors import NotConverged, NotInWeylChamber, ShapeMismatch
 from sloccflow.families import (
     bipartite_rank_state,
     boson_pair_state,
     fermion_pair_state,
     scan_qubit_families,
 )
+from sloccflow.flow import flow_to_critical
 from sloccflow.momentum import (
     SpectrumPoint,
     _one_body_diagonal,
@@ -233,6 +234,32 @@ class TestSelfConsistency:
             expected = {m for m in (k, L - k) if 2 * m <= L}
             assert set(labels) == expected
 
+    def test_two_mode_dicke_block_of_four_bosons_found(self):
+        # The Dicke |2,2> on modes 1 and 2 of four four-mode bosons: a
+        # projected descent on ||mu - alpha||^2 misses it from seed 0's starts.
+        report = _two_mode_boson_block()
+        states = self_consistent_critical(report, seed=0)
+        assert len(states) == 1
+        v = states[0]
+        assert abs(math.sqrt(momentum(v).norm_sq()) - 2.0) < 1e-9
+        assert morse_index(v, tol=1e-6) == 52
+
+    def test_capped_starts_are_skipped(self, monkeypatch):
+        # The B2 uniform start is critical at once on the wrong level; every
+        # random start hits the one-move cap and is skipped, not raised.
+        raised = []
+
+        def recording_flow(state, config=None):
+            try:
+                return flow_to_critical(state, config)
+            except NotConverged as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(critical, "flow_to_critical", recording_flow)
+        assert self_consistent_critical(_b2_block(), max_iterations=1) == []
+        assert len(raised) == 31
+
 
 def _w_block():
     alpha = qubit_spectrum_point(distinguishable(3, 2), (1 / 6, 1 / 6, 1 / 6))
@@ -248,6 +275,50 @@ def _b2_block():
     return next(
         r for r in alpha_star_eigenspaces(alpha) if abs(r.eigenvalue - 0.5) < 1e-12
     )
+
+
+def _two_mode_boson_block():
+    alpha = SpectrumPoint(bosonic(4, 4), (np.array([0.25, 0.25, -0.25, -0.25]),))
+    return next(r for r in alpha_star_eigenspaces(alpha) if _marginal_feasible(r))
+
+
+def _two_qutrit_rank_two_block():
+    third = np.array([1 / 6, 1 / 6, -1 / 3])
+    alpha = SpectrumPoint(distinguishable(2, 3), (third, third))
+    return next(r for r in alpha_star_eigenspaces(alpha) if _marginal_feasible(r))
+
+
+class TestFlowInsideBlock:
+    """The flow from a state of a feasible block stays in it and ends on ``alpha``."""
+
+    @pytest.mark.parametrize("gauss_newton", [False, True], ids=["plain", "gauss-newton"])
+    @pytest.mark.parametrize(
+        "block",
+        [_b2_block, _two_qutrit_rank_two_block, _two_mode_boson_block],
+        ids=["B2", "qutrits", "bosons"],
+    )
+    def test_terminal_stays_in_block_with_image_alpha(self, monkeypatch, block, gauss_newton):
+        grams = []
+        if gauss_newton:
+            monkeypatch.setattr(flow, "CONSERVATIVE_PREFIX", 0)
+            frame_gram = flow._frame_gram
+
+            def counted(*args):
+                grams.append(args)
+                return frame_gram(*args)
+
+            monkeypatch.setattr(flow, "_frame_gram", counted)
+        report = block()
+        rng = np.random.default_rng(0)
+        z = rng.standard_normal(report.multiplicity) + 1j * rng.standard_normal(
+            report.multiplicity
+        )
+        terminal, _ = flow_to_critical(PureState(report.alpha.sector, report.basis @ z))
+        outside = ~np.any(report.basis != 0, axis=1)
+        assert outside.any()
+        assert np.all(terminal.amplitudes[outside] == 0.0)
+        assert psi(terminal).allclose(report.alpha, 1e-8)
+        assert bool(grams) == gauss_newton
 
 
 class TestFirstVerifiedState:
