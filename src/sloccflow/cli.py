@@ -59,7 +59,12 @@ class Report:
 
 
 def _add_flow_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--step", type=float, default=0.05, help="flow step size")
+    parser.add_argument(
+        "--step",
+        type=float,
+        default=0.05,
+        help="flow_step size, recorded in the config; the flow's moves size themselves",
+    )
     parser.add_argument(
         "--tol", type=float, default=1e-9, help="gradient-norm tolerance"
     )

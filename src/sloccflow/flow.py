@@ -1,10 +1,11 @@
 """Gradient flow of the squared momentum norm along invertible local directions.
 
-A plain step applies the exact group element ``exp(-step * C_p)`` per party,
-where ``C_p`` are the coadjoint matrices of the current momentum image, and a
-Gauss-Newton move applies ``exp(xi_a)`` per acting factor.  The exponents are
-traceless, so every factor has unit determinant and the trajectory stays
-inside the orbit of invertible local operations by construction.
+Every move of ``flow_to_critical`` applies ``exp(xi_a)`` per acting factor,
+and ``flow_step`` applies the exact group element ``exp(-step * C_p)`` per
+party, where ``C_p`` are the coadjoint matrices of the current momentum
+image.  The exponents are traceless, so every factor has unit determinant
+and the trajectory stays inside the orbit of invertible local operations by
+construction.
 
 Stopping: the flow ends when the gradient norm falls below tolerance, or --
 for trajectories that reach the zero level only in the closure of their
@@ -13,17 +14,10 @@ orbit, where the gradient decays polynomially in flow time -- when
 inside the zero-stratum labeling threshold, so both exits agree on the
 classification; the exit reason is recorded on the trace.
 
-Regimes: the integrator starts on plain fixed-size gradient moves and
-switches to damped Gauss-Newton moves on the Kempf-Ness function,
-``xi = -(J^2 + lam max(1, tr J) I)^-1 J m`` with ``J`` the Jacobian of the
-momentum coordinates ``m``, clipped to ``||xi|| <= TRUST_RADIUS``; the damping
-``lam`` falls by 3 on an accepted move and rises by 4 on a rejected one.  A
-move is Gauss-Newton once ``CONSERVATIVE_PREFIX`` moves are done or once
-``||mu||^2`` is below ``MARGIN_GATE`` times the sector's weight margin
-``gamma^2`` (``momentum.weight_margin``): the smallest nonzero critical value
-candidate of ``||mu||^2``, so a flow below it can only end on the zero level.
-``FlowConfig.step_size``, like ``flow_step``'s ``step``, sizes plain moves only;
-a Gauss-Newton move is sized by ``lam`` and ``TRUST_RADIUS``.
+Moves: each one is a damped Gauss-Newton move on the Kempf-Ness function,
+clipped to ``TRUST_RADIUS``, and a level certificate closes a nonzero level
+on its plateau (``flow_to_critical``).  ``FlowConfig.step_size`` is for
+``flow_step`` only.
 """
 
 from __future__ import annotations
@@ -39,12 +33,12 @@ from .momentum import (
     MomentumPoint,
     SpectrumPoint,
     _frame_gram,
+    _level_certificate,
     _norm_sq,
     _ordered_spectra,
     _shifted_densities,
     gell_mann_frame,
     momentum,
-    weight_margin,
 )
 from .statespace import (
     LocalOperator,
@@ -65,7 +59,12 @@ SEMISTABLE_EXIT_MU2 = 1e-9
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Integrator knobs: plain-move step size, gradient tolerance, caps, sampling."""
+    """Integrator knobs: gradient tolerance, move cap and sampling of ``flow_to_critical``.
+
+    ``step_size`` (the CLI's ``--step``) is a step size for ``flow_step``,
+    kept with the config; ``flow_to_critical`` does not read it, as its moves
+    are sized by their damping and ``TRUST_RADIUS``.
+    """
 
     step_size: float = 0.05
     tolerance: float = 1e-9
@@ -163,9 +162,8 @@ def gradient_norm(state: PureState) -> float:
     return float(np.linalg.norm(projected_gradient(state)[0]))
 
 
-CONSERVATIVE_PREFIX = 2000
-# Fraction of the sector's weight margin below which the prefix ends.
-MARGIN_GATE = 0.9
+# Gradient, relative to ``sqrt(mu2)``, below which a flow tries the level certificate.
+CERTIFY_RATIO = 1e-3
 # Largest norm, in the acting Lie algebra, of one Gauss-Newton move.
 TRUST_RADIUS = 4.0
 
@@ -189,32 +187,26 @@ def flow_to_critical(
 ) -> tuple[PureState, FlowTrace]:
     """Integrate until the gradient norm (or the zero level) is resolved.
 
-    The first ``CONSERVATIVE_PREFIX`` moves are plain fixed-size gradient
-    steps of ``config.step_size``; flows into null-cone critical orbits
-    converge inside this prefix at desk scale.  The caution exists because
-    rounding noise places every stored state a relative 1e-16 off its orbit,
-    generically into a lower stratum, and a second-order move can amplify
-    that seed through the stratum boundary before the gradient test fires
-    on a nonzero level.  The prefix ends early once ``||mu||^2`` drops below
-    ``MARGIN_GATE * gamma^2``, where ``gamma^2 = weight_margin(sector)`` is
-    the sector's smallest nonzero critical value candidate: every nonzero
-    critical value is ``||beta||^2`` for ``beta`` the minimum-norm point of
-    the convex hull of some ket weights (Ness; Kirwan), and no accepted move
-    raises ``||mu||^2`` beyond rounding slack, so below that point only the
-    zero level remains and the caution protects nothing.  A flow ending on a
-    nonzero level ``l`` stays at or above ``l >= gamma^2``, so the gate never
-    fires on it.  Sectors without a margin (too many weight subsets) keep the
-    full prefix.
-
-    Past the prefix or below the gate, every move is one damped
-    Gauss-Newton step on the Kempf-Ness function (Buergisser et al.,
-    arXiv:1910.12375), ``exp(xi_a)`` per acting factor with
-    ``xi = -(J^2 + lam max(1, tr J) I)^-1 J m`` over the frame
+    Every move is one damped Gauss-Newton step on the Kempf-Ness function
+    (Buergisser et al., arXiv:1910.12375), ``exp(xi_a)`` per acting factor
+    with ``xi = -(J^2 + lam max(1, tr J) I)^-1 J m`` over the frame
     (``_gauss_newton``), clipped to ``||xi|| <= TRUST_RADIUS``; ``lam``
     starts at 1e-2, falls by 3 on an accepted move (to 1e-12 at least) and
-    rises by 4 on a rejected one.  This crosses the semistable tails, which
-    are only polynomial in plain flow time, in few moves.  Every move of
-    either kind is an exact unit-determinant group element.
+    rises by 4 on a rejected one.  A move is accepted when it does not raise
+    ``||mu||^2`` beyond rounding slack.  This crosses the semistable tails,
+    which are only polynomial in plain flow time, in few moves.
+
+    A second-order move can also amplify rounding noise -- every stored
+    state sits a relative 1e-16 off its orbit, generically in a lower
+    stratum -- through a stratum boundary while the flow sits on a nonzero
+    level.  So whenever the gradient norm reaches a new minimum below
+    ``CERTIFY_RATIO * sqrt(mu2)``, the flow tries
+    ``momentum._level_certificate``: ``mu2`` bounds the level from above,
+    the minimum-norm point ``beta`` of the state's ket weights in the
+    eigenbases of its densities bounds it from below, and when they meet the
+    state is replaced by its part on ``Z_beta``.  After the first success the
+    flow tries no more; its moves stay in that block and end on the gradient
+    exit at ``mu = beta``.
 
     Raises NotConverged (with the partial trace attached) at the iteration
     cap.
@@ -224,11 +216,9 @@ def flow_to_critical(
     amps = normalize(state).amplitudes
     tensor, views, mats = _at(sector, amps)
     trace = FlowTrace()
-    step = config.step_size
     lam = 1e-2
     mu2 = _norm_sq(sector, mats)
-    margin = weight_margin(sector)
-    gate_mu2 = -math.inf if margin is None else MARGIN_GATE * margin
+    certified = False
     iteration = 0
     # A rejected move leaves the state, hence its gradient and columns, as it was.
     grad_norm = frame_gram = None
@@ -239,6 +229,19 @@ def flow_to_critical(
         if grad_norm < trace.best_grad_norm:
             trace.best_grad_norm = grad_norm
             trace.mu2_at_best_grad = mu2
+            if (
+                not certified
+                and config.tolerance < grad_norm < CERTIFY_RATIO * math.sqrt(mu2)
+                and mu2 > SEMISTABLE_EXIT_MU2
+            ):
+                block = _level_certificate(sector, tensor, mats, mu2)
+                if block is not None:
+                    certified = True
+                    amps = block
+                    tensor, views, mats = _at(sector, amps)
+                    mu2 = _norm_sq(sector, mats)
+                    grad_norm = frame_gram = None
+                    continue
         stopped = None
         if grad_norm <= config.tolerance:
             stopped = "gradient"
@@ -257,13 +260,9 @@ def flow_to_critical(
             return trace.terminal, trace
         if iteration >= config.max_iterations:
             break
-        gauss_newton = iteration >= CONSERVATIVE_PREFIX or mu2 < gate_mu2
-        if gauss_newton:
-            if frame_gram is None:
-                frame_gram = _frame_gram(sector, tensor)
-            trial = _advance(sector, _gauss_newton(sector, *frame_gram, lam), tensor, 1.0)
-        else:
-            trial = _advance(sector, mats, tensor, -step * sector.copies)
+        if frame_gram is None:
+            frame_gram = _frame_gram(sector, tensor)
+        trial = _advance(sector, _gauss_newton(sector, *frame_gram, lam), tensor, 1.0)
         trial_tensor, trial_views, trial_mats = _at(sector, trial)
         trial_mu2 = _norm_sq(sector, trial_mats)
         # Accept non-increase within rounding noise: true decreases near a
@@ -272,12 +271,9 @@ def flow_to_critical(
             amps, tensor, views, mats = trial, trial_tensor, trial_views, trial_mats
             mu2 = trial_mu2
             grad_norm = frame_gram = None
-            if gauss_newton:
-                lam = max(lam / 3.0, 1e-12)
-        elif gauss_newton:
-            lam *= 4.0
+            lam = max(lam / 3.0, 1e-12)
         else:
-            step = max(step * 0.25, 1e-9 * config.step_size)
+            lam *= 4.0
         iteration += 1
     trace.terminal = PureState(sector, amps)
     trace.converged = False

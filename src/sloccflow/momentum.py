@@ -31,6 +31,7 @@ from .statespace import (
     _factor_images,
     _frozen,
     _ket_weights,
+    _local_product,
     _one_body,
     _one_body_matrix,
     _project,
@@ -331,6 +332,111 @@ def weight_margin(sector: Sector) -> float | None:
         levels.append(1.0 / s[inside])
     candidates = np.concatenate(levels)
     return float(candidates.min()) if candidates.size else None
+
+
+def _min_norm_point(points: np.ndarray) -> np.ndarray:
+    """Barycentric coordinates of the minimum-norm point of the columns' convex hull.
+
+    Wolfe's active set (Math. Programming 11, 128-149, 1976).  A major cycle
+    adds the column lowest below the current point ``beta``, one with
+    ``<p, beta> < ||beta||^2``; it stops when there is none.  A minor cycle
+    solves the affine minimum-norm point of the active columns from the
+    bordered Gram ``[[G, 1], [1^T, 0]]``; while a coordinate of it is not
+    positive, the point moves towards it until the first coordinate reaches
+    zero, and that column leaves.
+    """
+    n = points.shape[1]
+    norms = np.einsum("ij,ij->j", points, points)
+    tol = 1e-12 * max(1.0, float(norms.max()))
+    active, coords = [int(np.argmin(norms))], np.ones(1)
+    # Each major cycle lowers ``||beta||`` and no active set recurs; the cap
+    # only guards rounding.
+    for _ in range(2 * n):
+        beta = points[:, active] @ coords
+        heights = beta @ points
+        j = int(np.argmin(heights))
+        if heights[j] >= beta @ beta - tol or j in active:
+            break
+        active.append(j)
+        coords = np.append(coords, 0.0)
+        while True:
+            k = len(active)
+            border = np.ones((k + 1, k + 1))
+            border[:k, :k] = points[:, active].T @ points[:, active]
+            border[k, k] = 0.0
+            rhs = np.zeros(k + 1)
+            rhs[k] = 1.0
+            affine = np.linalg.solve(border, rhs)[:k]
+            if np.all(affine > 0):
+                coords = affine
+                break
+            down = np.flatnonzero(affine <= 0)
+            steps = coords[down] / (coords[down] - affine[down])
+            coords = coords + steps.min() * (affine - coords)
+            coords[down[np.argmin(steps)]] = 0.0
+            keep = coords > 0
+            active = [a for a, kept in zip(active, keep) if kept]
+            coords = coords[keep]
+    x = np.zeros(n)
+    x[active] = coords
+    return x
+
+
+# Support thresholds, relative to the largest ``|amp|^2``, widest support first.
+CERTIFICATE_SUPPORTS = (1e-14, 1e-12, 1e-10, 1e-8, 1e-6)
+# Relative gap between ``||beta||^2`` and the flow's ``mu2`` that still closes the level.
+CERTIFICATE_LEVEL_GAP = 1e-4
+# Largest ``|amp|^2`` share outside ``Y_beta`` of a certified state.
+CERTIFICATE_OUTSIDE_MASS = 1e-10
+# Relative slack of ``<w, beta> = ||beta||^2`` on ``Z_beta`` and of its half-space ``Y_beta``.
+CERTIFICATE_HEIGHT_SLACK = 1e-6
+
+
+def _level_certificate(
+    sector: Sector, tensor: np.ndarray, mats: np.ndarray, mu2: float
+) -> np.ndarray | None:
+    """The state's part on ``Z_beta``, unit sector amplitudes, when its level is certified.
+
+    ``tensor`` is a unit state with shifted densities ``mats`` and
+    ``||mu||^2 = mu2``.  In the eigenbases of its densities the momentum image
+    is ``sum_k |amp_k|^2 w_k`` over the ket weights ``w_k`` (``_ket_weights``
+    minus ``copies / N``), and ``beta``, the minimum-norm point of the convex
+    hull of the supported kets' weights, bounds the level from below: a state
+    in ``Y_beta = span{kets with <w, beta> >= ||beta||^2}`` goes to zero under
+    ``exp(-t beta)``, so it lies in the null cone at a level of at least
+    ``||beta||^2`` (Kempf 1978; Hesselink 1979; Ness 1984; Kirwan 1984).  A
+    flow bounds it from above by ``mu2``.  The level is ``||beta||^2`` when a
+    support of ``CERTIFICATE_SUPPORTS`` gives ``||beta||^2 > 1e-9`` within
+    ``CERTIFICATE_LEVEL_GAP`` of ``mu2``, with at most
+    ``CERTIFICATE_OUTSIDE_MASS`` of the state outside ``Y_beta``.  The state's
+    amplitudes off ``Z_beta = span{kets with <w, beta> = ||beta||^2}`` are then
+    zeroed, in the eigenbases, and the result rotated back and renormalized;
+    a flow from it stays in that block and ends on ``mu = beta``.  Returns
+    None when no support certifies the level.
+    """
+    _, frames = np.linalg.eigh(mats)
+    rotated = _project(sector, _local_product(sector, frames.conj().swapaxes(1, 2), tensor))
+    mass = np.abs(rotated) ** 2
+    weights = _ket_weights(sector) - sector.copies / sector.local_dim
+    tried = 0
+    for threshold in CERTIFICATE_SUPPORTS:
+        support = np.flatnonzero(mass > threshold * mass.max())
+        # The supports shrink as the threshold rises; an equal size is the same support.
+        if support.size == tried:
+            continue
+        tried = support.size
+        beta = weights[:, support] @ _min_norm_point(weights[:, support])
+        level = float(beta @ beta)
+        if level <= 1e-9 or abs(level - mu2) > CERTIFICATE_LEVEL_GAP * max(1.0, mu2):
+            continue
+        heights = beta @ weights - level
+        slack = CERTIFICATE_HEIGHT_SLACK * max(1.0, level)
+        if mass[heights < -slack].sum() > CERTIFICATE_OUTSIDE_MASS * mass.sum():
+            continue
+        rotated[np.abs(heights) > slack] = 0.0
+        block = _project(sector, _local_product(sector, frames, _embed(sector, rotated)))
+        return block / math.sqrt(np.vdot(block, block).real)
+    return None
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,6 @@ from sloccflow.demos import FOUR_QUBIT_DEMO_PARAMS
 from sloccflow.errors import Divergent, NotConverged, ShapeMismatch
 from sloccflow.families import bipartite_rank_state
 from sloccflow.flow import (
-    CONSERVATIVE_PREFIX,
     FlowConfig,
     flow_step,
     flow_to_critical,
@@ -25,7 +24,7 @@ from sloccflow.flow import (
     stratum_label,
 )
 from sloccflow.critical import _stability_from
-from sloccflow.momentum import MomentumPoint, momentum, mu_norm_sq, psi, weight_margin
+from sloccflow.momentum import MomentumPoint, momentum, mu_norm_sq, psi
 from sloccflow.morse import _critical_spectrum
 from sloccflow.statespace import (
     LocalOperator,
@@ -178,13 +177,13 @@ def _moved(state, rng, spread=0.4):
     return normalize(apply_local(ops, state))
 
 
-# Flows that end on a nonzero level, which lies at or above the margin.
+# Flows that end on a nonzero level, with the oracle's ``d``.
 NONZERO_LEVEL_STATES = {
-    "W": lambda: qubits([0, 1, 1, 0, 1, 0, 0, 0], 3),
-    "B1": lambda: qubits([1, 0, 0, 1, 0, 0, 0, 0], 3),
-    "SEP": lambda: qubits([1, 0, 0, 0, 0, 0, 0, 0], 3),
-    "rank-1": lambda: bipartite_rank_state(3, 1),
-    "rank-2": lambda: bipartite_rank_state(3, 2),
+    "W": (lambda: qubits([0, 1, 1, 0, 1, 0, 0, 0], 3), math.sqrt(1 / 6)),
+    "B1": (lambda: qubits([1, 0, 0, 1, 0, 0, 0, 0], 3), math.sqrt(1 / 2)),
+    "SEP": (lambda: qubits([1, 0, 0, 0, 0, 0, 0, 0], 3), math.sqrt(3 / 2)),
+    "rank-1": (lambda: bipartite_rank_state(3, 1), math.sqrt(4 / 3)),
+    "rank-2": (lambda: bipartite_rank_state(3, 2), math.sqrt(1 / 3)),
 }
 FOUR_QUBIT_STABILITY = {
     "L_abc2": Stability.SEMISTABLE,
@@ -204,35 +203,20 @@ def four_qubit_classified():
 
 
 class TestMarginGate:
+    """What the deleted margin gate and plain-move prefix guarded.
+
+    Every move is now Gauss-Newton, and the level certificate, not a prefix
+    of plain moves, keeps a flow on its nonzero level.
+    """
+
     @pytest.mark.parametrize("name", list(NONZERO_LEVEL_STATES))
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_nonzero_level_flows_do_not_see_the_gate(self, monkeypatch, name, seed):
-        # Such a flow stays above the gate and converges inside the prefix, so
-        # it takes no Gauss-Newton move and never builds a move's Gram.
-        columns = []
-        frame_gram = flow._frame_gram
-
-        def counting_frame_gram(sector, tensor):
-            columns.append(tensor)
-            return frame_gram(sector, tensor)
-
-        monkeypatch.setattr(flow, "_frame_gram", counting_frame_gram)
-        state = _moved(NONZERO_LEVEL_STATES[name](), np.random.default_rng(seed))
-        assert weight_margin(state.sector) is not None
-        gated, gated_trace = flow_to_critical(state)
-        assert gated_trace.stopped_on == "gradient"
-        assert not columns
-        monkeypatch.setattr(flow, "weight_margin", lambda sector: None)
-        plain, plain_trace = flow_to_critical(state)
-        assert gated_trace.samples == plain_trace.samples
-        assert gated_trace.stopped_on == plain_trace.stopped_on
-        assert np.array_equal(gated.amplitudes, plain.amplitudes)
-
-    def test_without_margin_the_prefix_runs_in_full(self, monkeypatch):
-        monkeypatch.setattr(flow, "weight_margin", lambda sector: None)
-        state = four_qubit_family("L_a4", FOUR_QUBIT_DEMO_PARAMS["L_a4"])
-        _, trace = flow_to_critical(state)
-        assert trace.samples[-1][0] >= CONSERVATIVE_PREFIX
+    def test_nonzero_level_flows_end_on_the_gradient_exit(self, name, seed):
+        start, d = NONZERO_LEVEL_STATES[name]
+        state = _moved(start(), np.random.default_rng(seed))
+        terminal, trace = flow_to_critical(state)
+        assert trace.stopped_on == "gradient"
+        assert abs(math.sqrt(mu_norm_sq(terminal)) - d) < 1e-9
 
     @pytest.mark.parametrize("name", list(FOUR_QUBIT_STABILITY))
     def test_four_qubit_families_keep_their_stability(self, four_qubit_classified, name):
@@ -241,9 +225,9 @@ class TestMarginGate:
         assert record.morse_index == 0
 
     @pytest.mark.parametrize("name", list(FOUR_QUBIT_STABILITY))
-    def test_four_qubit_families_leave_the_prefix_early(self, four_qubit_classified, name):
+    def test_four_qubit_families_end_in_few_moves(self, four_qubit_classified, name):
         _, trace = four_qubit_classified[name]
-        assert trace.samples[-1][0] < CONSERVATIVE_PREFIX
+        assert trace.samples[-1][0] < 100
 
 
 def _binary_form(parties, coefficients):
@@ -307,30 +291,18 @@ def test_rejected_move_costs_no_gradient(monkeypatch):
     monkeypatch.setattr(flow, "_advance", counting_advance)
     monkeypatch.setattr(flow, "_gathered_one_body", counting_one_body)
     monkeypatch.setattr(flow, "_frame_gram", counting_frame_gram)
-    rejecting = [
-        # Plain moves throughout, above the W level: the first steps are too large.
-        (
-            perturbed_w(qubits([0, 1, 1, 0, 1, 0, 0, 0], 3)),
-            FlowConfig(step_size=50.0, max_iterations=8),
-            False,
-        ),
-        # Below the margin from the start: Gauss-Newton moves, some rejected.
-        (CRAWLING_STATES["x2y(x-y)"](), FlowConfig(max_iterations=8), True),
-    ]
-    for state, config, gauss_newton in rejecting:
-        for counted in (starts, trials, images, columns):
-            counted.clear()
-        with pytest.raises(NotConverged) as excinfo:
-            flow_to_critical(state, config)
-        # A move is accepted when the next one starts from a new tensor; the
-        # last one when its trial is the terminal.
-        terminal = excinfo.value.trace.terminal.amplitudes
-        accepted = sum(b is not a for a, b in zip(starts, starts[1:]))
-        accepted += np.array_equal(terminal, trials[-1])
-        assert len(starts) - accepted > 0
-        assert len(images) == accepted + 1
-        assert len({id(t) for t in columns}) == len(columns)
-        assert bool(columns) == gauss_newton
+    # A strictly semistable tail: some of its first moves are rejected.
+    with pytest.raises(NotConverged) as excinfo:
+        flow_to_critical(CRAWLING_STATES["x2y(x-y)"](), FlowConfig(max_iterations=8))
+    # A move is accepted when the next one starts from a new tensor; the
+    # last one when its trial is the terminal.
+    terminal = excinfo.value.trace.terminal.amplitudes
+    accepted = sum(b is not a for a, b in zip(starts, starts[1:]))
+    accepted += np.array_equal(terminal, trials[-1])
+    assert len(starts) - accepted > 0
+    assert len(images) == accepted + 1
+    # One Gram per state a move starts from, and none for a state after a rejection.
+    assert len({id(t) for t in columns}) == len(columns) == len({id(t) for t in starts})
 
 
 class TestSloccDistance:

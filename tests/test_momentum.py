@@ -10,6 +10,9 @@ from sloccflow.momentum import (
     MARGIN_PIVOT_TOL,
     SpectrumPoint,
     _generator_columns,
+    _level_certificate,
+    _min_norm_point,
+    _shifted_densities,
     casimir_constant,
     casimir_vee_expectation,
     gell_mann_frame,
@@ -27,6 +30,7 @@ from sloccflow.momentum import (
 from sloccflow.statespace import (
     LocalOperator,
     PureState,
+    _axis_views,
     _ket_weights,
     apply_local,
     bosonic,
@@ -37,7 +41,7 @@ from sloccflow.statespace import (
     random_state,
 )
 
-from conftest import haar_unitary, qubits
+from conftest import haar_unitary, qubits, random_special_linear
 
 SECTORS = [
     distinguishable(3, 2),
@@ -510,3 +514,87 @@ class TestWeightMarginPivot:
     @pytest.mark.parametrize("sector", [fermionic(0, 3), fermionic(3, 3), bosonic(2, 1)])
     def test_no_margin_when_every_weight_is_zero(self, sector):
         assert weight_margin(sector) is None
+
+
+def _exact_min_norm_point(columns: list[list[Fraction]]) -> list[Fraction]:
+    """The minimum-norm point of the columns' convex hull, by its KKT conditions.
+
+    Every subset of at most rank + 1 columns gives, through the bordered
+    system of ``_exact_margin``, the affine minimum-norm point ``beta`` of
+    its hull; the one with nonnegative coordinates and ``<p, beta> >=
+    ||beta||^2`` for every column ``p`` is the minimum-norm point.
+    """
+    rank = np.linalg.matrix_rank(np.array(columns, dtype=float))
+    for size in range(1, rank + 2):
+        for subset in combinations(columns, size):
+            gram = [[sum(a * b for a, b in zip(u, w)) for w in subset] for u in subset]
+            bordered = [row + [Fraction(1)] for row in gram]
+            bordered.append([Fraction(1)] * size + [Fraction(0)])
+            solution = _exact_solve(bordered, [Fraction(0)] * size + [Fraction(1)])
+            if solution is None or min(solution[:size]) < 0:
+                continue
+            beta = [sum(c * p[i] for c, p in zip(solution, subset)) for i in range(len(subset[0]))]
+            level = sum(x * x for x in beta)
+            if all(sum(a * b for a, b in zip(p, beta)) >= level for p in columns):
+                return beta
+    raise AssertionError("no subset satisfies the KKT conditions")
+
+
+def _shifted_weight_columns(sector) -> list[list[Fraction]]:
+    shift = Fraction(sector.copies, sector.local_dim)
+    return [[Fraction(int(x)) - shift for x in column] for column in _ket_weights(sector).T]
+
+
+class TestMinNormPoint:
+    @pytest.mark.parametrize(
+        "sector",
+        [distinguishable(3, 2), distinguishable(2, 3), bosonic(4, 2), bosonic(3, 3), fermionic(2, 4)],
+    )
+    def test_ket_weight_supports_match_the_exact_oracle(self, sector):
+        columns = _shifted_weight_columns(sector)
+        rng = np.random.default_rng(7)
+        for _ in range(12):
+            size = int(rng.integers(1, len(columns) + 1))
+            support = sorted(rng.choice(len(columns), size, replace=False))
+            chosen = [columns[k] for k in support]
+            points = np.array(chosen, dtype=float).T
+            x = _min_norm_point(points)
+            assert np.all(x >= 0) and x.sum() == pytest.approx(1.0, abs=1e-12)
+            exact = np.array(_exact_min_norm_point(chosen), dtype=float)
+            assert np.max(np.abs(points @ x - exact)) < 1e-12, support
+
+    def test_integer_clouds_match_the_exact_oracle(self):
+        # Repeated and affinely dependent points included.
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            cloud = rng.integers(-3, 4, size=(3, int(rng.integers(1, 9))))
+            columns = [[Fraction(int(v)) for v in column] for column in cloud.T]
+            x = _min_norm_point(cloud.astype(float))
+            assert np.all(x >= 0) and x.sum() == pytest.approx(1.0, abs=1e-12)
+            exact = np.array(_exact_min_norm_point(columns), dtype=float)
+            assert np.max(np.abs(cloud @ x - exact)) < 1e-12, cloud
+
+
+def _certificate(state):
+    tensor = state.to_tensor()
+    mats = _shifted_densities(_axis_views(tensor), state.sector.acting)
+    return _level_certificate(state.sector, tensor, mats, mu_norm_sq(state))
+
+
+class TestLevelCertificate:
+    def test_none_on_ghz(self, ghz3):
+        assert _certificate(ghz3) is None
+
+    def test_none_on_a_haar_state(self, rng):
+        assert _certificate(random_state(distinguishable(3, 2), rng)) is None
+
+    def test_an_exact_critical_state_is_its_own_block(self, w3):
+        block = _certificate(w3)
+        assert abs(abs(np.vdot(block, w3.amplitudes)) - 1.0) < 1e-12
+
+    def test_a_moved_w_state_is_not_on_its_level(self, w3, rng):
+        # Its ``mu2`` lies above the level 1/6 that its weights certify.
+        ops = [LocalOperator(p, random_special_linear(rng, 2, 0.4)) for p in range(3)]
+        moved = normalize(apply_local(ops, w3))
+        assert mu_norm_sq(moved) > 1 / 6 + 1e-3
+        assert _certificate(moved) is None

@@ -33,8 +33,8 @@ def test_scan_operation_passes_oracle():
     assert oracle.check_scan(result) == []
 
 
-# Zero-level flows that leave the conservative prefix below the weight
-# margin, and one moved state of each three-qubit class.
+# The four-qubit zero-level families, three Haar four-qubit states and one
+# moved state of each three-qubit class.
 CLASSIFY_SMALL_PICKS = r"four-qubit-.*|haar-4x2-\d+|three-\w+-0"
 
 
@@ -87,15 +87,6 @@ def _oracle_problems(op):
     return oracle.check(op, result)
 
 
-NULL_CONE_DEFECT = pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 1: the flow stops on the zero level (d < 3e-5, index 0, "
-    "semistable) instead of at the null-cone level of a moved W or Dicke state",
-)
-
-
-@NULL_CONE_DEFECT
 @pytest.mark.parametrize(
     "workload, op_id",
     [
@@ -111,9 +102,18 @@ def test_moved_null_cone_state_at_seed_3(workload, op_id):
     assert _oracle_problems(op) == []
 
 
-@NULL_CONE_DEFECT
 def test_moved_w4_dicke_state():
     # The draw after the three that ``test_identical_sector_operations_pass_oracle``
     # uses for (3, 0), (3, 1) and (4, 0): a moved W_4 in ``bosonic(4, 2)``.
     (*_, op) = _moved_dicke_ops(_load("generate"), ((3, 0), (3, 1), (4, 0), (4, 1)))
     assert _oracle_problems(op) == []
+
+
+def test_dicke_9_2_at_seed_8_ends_in_few_moves():
+    # Fixed-size gradient steps fall into a period-2 cycle here, at an
+    # equal ``||mu||^2``; the move bound keeps the flow off any such cycle.
+    (op,) = [op for op in _load("generate").generate("identical-sectors", 8) if op["id"] == "dicke-9-2"]
+    worker, oracle = _load("worker"), _load("oracle")
+    result = worker.run_operation(op, worker.sloccflow.state_from_json(op["state"]))
+    assert oracle.check(op, result) == []
+    assert result["iterations"] <= 20
