@@ -211,7 +211,8 @@ class TestMarginGate:
 
     @pytest.mark.parametrize("name", list(NONZERO_LEVEL_STATES))
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_nonzero_level_flows_end_on_the_gradient_exit(self, name, seed):
+    def test_nonzero_level_flows_do_not_see_the_gate(self, name, seed):
+        # No gate stops such a flow: it ends on the gradient exit at its oracle ``d``.
         start, d = NONZERO_LEVEL_STATES[name]
         state = _moved(start(), np.random.default_rng(seed))
         terminal, trace = flow_to_critical(state)
