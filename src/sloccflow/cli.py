@@ -14,7 +14,7 @@ from . import __version__
 from .critical import CriticalRecord, classify_with_trace
 from .errors import NotConverged, SloccFlowError, UnknownDemo
 from .demos import run_demo
-from .flow import FlowConfig, FlowTrace, flow_to_critical
+from .flow import STEP_SIZE, FlowConfig, FlowTrace, flow_to_critical
 from .statespace import PureState, state_from_json
 
 EXIT_OK = 0
@@ -62,8 +62,9 @@ def _add_flow_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--step",
         type=float,
-        default=0.05,
-        help="flow_step size, recorded in the config; the flow's moves size themselves",
+        default=STEP_SIZE,
+        help=f"sizes no move (the flow's moves size themselves); any value but {STEP_SIZE} "
+        "is an input error",
     )
     parser.add_argument(
         "--tol", type=float, default=1e-9, help="gradient-norm tolerance"

@@ -3,9 +3,10 @@
 Every move of ``flow_to_critical`` applies ``exp(xi_a)`` per acting factor,
 and ``flow_step`` applies the exact group element ``exp(-step * C_p)`` per
 party, where ``C_p`` are the coadjoint matrices of the current momentum
-image.  The exponents are traceless, so every factor has unit determinant
-and the trajectory stays inside the orbit of invertible local operations by
-construction.
+image.  The exponents are traceless, so every move is a unit-determinant
+group element and keeps the state in its orbit.  A flow whose level is
+certified then continues from the input's ``Z_beta`` limit, which lies in
+the closure of the orbit, not in the orbit itself.
 
 Stopping: the flow ends when the gradient norm falls below tolerance, or --
 for trajectories that reach the zero level only in the closure of their
@@ -16,8 +17,7 @@ classification; the exit reason is recorded on the trace.
 
 Moves: each one is a damped Gauss-Newton move on the Kempf-Ness function,
 clipped to ``TRUST_RADIUS``, and a level certificate closes a nonzero level
-on its plateau (``flow_to_critical``).  ``FlowConfig.step_size`` is for
-``flow_step`` only.
+on its plateau (``flow_to_critical``).
 """
 
 from __future__ import annotations
@@ -55,18 +55,21 @@ from .statespace import (
 
 ZERO_STRATUM_MU2 = 1e-8
 SEMISTABLE_EXIT_MU2 = 1e-9
+# The only accepted ``FlowConfig.step_size``, which no integrator reads.
+STEP_SIZE = 0.05
 
 
 @dataclass(frozen=True)
 class FlowConfig:
     """Integrator knobs: gradient tolerance, move cap and sampling of ``flow_to_critical``.
 
-    ``step_size`` (the CLI's ``--step``) is a step size for ``flow_step``,
-    kept with the config; ``flow_to_critical`` does not read it, as its moves
-    are sized by their damping and ``TRUST_RADIUS``.
+    ``step_size`` (the CLI's ``--step``) sizes nothing: ``flow_to_critical``
+    sizes each move by its damping and ``TRUST_RADIUS``, and ``flow_step``
+    takes its step as an argument.  It stays in the config and its JSON at
+    ``STEP_SIZE``, and any other value is rejected rather than ignored.
     """
 
-    step_size: float = 0.05
+    step_size: float = STEP_SIZE
     tolerance: float = 1e-9
     max_iterations: int = 200_000
     record_every: int = 100
@@ -74,6 +77,11 @@ class FlowConfig:
     def __post_init__(self):
         if not (0 < self.step_size < math.inf and 0 < self.tolerance < math.inf):
             raise ValueError("step_size and tolerance must be positive and finite")
+        if self.step_size != STEP_SIZE:
+            raise ValueError(
+                f"step_size sizes no move and must stay {STEP_SIZE}: "
+                "flow_to_critical sizes its moves by damping and TRUST_RADIUS"
+            )
         for count in (self.max_iterations, self.record_every):
             # ``bool`` subclasses ``int``, but ``True`` is not a count.
             if not isinstance(count, numbers.Integral) or isinstance(count, bool) or count < 1:

@@ -383,7 +383,7 @@ def _min_norm_point(points: np.ndarray) -> np.ndarray:
 
 
 # Support thresholds, relative to the largest ``|amp|^2``, widest support first.
-CERTIFICATE_SUPPORTS = (1e-14, 1e-12, 1e-10, 1e-8, 1e-6)
+CERTIFICATE_SUPPORTS = (1e-14, 1e-12, 1e-10)
 # Relative gap between ``||beta||^2`` and the flow's ``mu2`` that still closes the level.
 CERTIFICATE_LEVEL_GAP = 1e-4
 # Largest ``|amp|^2`` share outside ``Y_beta`` of a certified state.

@@ -97,6 +97,13 @@ class TestClassify:
         assert "finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["classify", "flow"])
+    def test_step_other_than_default_is_an_input_error(self, w3_file, command, capsys):
+        # No integrator reads the step, so a value that would change nothing is refused.
+        assert main([command, str(w3_file), "--step", "0.1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "sizes no move" in err
+
+    @pytest.mark.parametrize("command", ["classify", "flow"])
     def test_csv_format_is_an_input_error(self, w3_file, command, capsys):
         assert main([command, str(w3_file), "--format", "csv"]) == 2
         out, err = capsys.readouterr()

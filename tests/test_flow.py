@@ -166,6 +166,10 @@ class TestFlowToCritical:
         with pytest.raises(ValueError):
             FlowConfig(**knobs)
 
+    def test_config_rejects_a_step_size_nothing_reads(self):
+        with pytest.raises(ValueError, match="sizes no move"):
+            FlowConfig(step_size=0.1)
+
 
 def _moved(state, rng, spread=0.4):
     """The state under one random unit-determinant matrix per party."""
