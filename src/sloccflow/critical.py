@@ -6,6 +6,9 @@ sector basis, its degenerate eigenspaces are enumerated, and inside each
 eigenspace the states whose momentum image equals ``alpha`` are located by
 the flow of the squared momentum norm, which stays inside the eigenspace.
 Every returned state is an actual critical point of the squared momentum norm.
+A point can carry one only if some basis ket lies at the level
+``||alpha||^2``; ``_level_screen`` tests that for many points in one batched
+product, so that the scan builds eigenspaces only where it holds.
 """
 
 from __future__ import annotations
@@ -122,11 +125,9 @@ def alpha_star_eigenspaces(
     dim = alpha.sector.dim
     values = _one_body_diagonal(alpha.sector, alpha.spectra)
     order = np.argsort(values)[::-1]
-    scale = max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
     ranked = values[order]
-    # A block ends where the next value in descending order is more than a
-    # gap away from the last one in the block.
-    ends = (np.flatnonzero(np.abs(np.diff(ranked)) > rel_gap * scale) + 1).tolist()
+    breaks, _ = _block_breaks(ranked, rel_gap)
+    ends = (np.flatnonzero(breaks) + 1).tolist()
     # Column c holds the basis ket order[c]; each block is a run of columns.
     ranked_kets = np.zeros((dim, dim), dtype=complex)
     ranked_kets[order, np.arange(dim)] = 1.0
@@ -136,6 +137,50 @@ def alpha_star_eigenspaces(
         eig = float(np.add.reduce(ranked[lo:hi]) / (hi - lo))
         reports.append(EigenspaceReport(alpha, eig, hi - lo, ranked_kets[:, lo:hi]))
     return reports
+
+
+def _block_breaks(ranked: np.ndarray, rel_gap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Where sorted chamber values split into eigenvalue blocks, and the gap.
+
+    ``ranked`` is sorted along its last axis.  Entry ``i`` of the mask is true
+    where values ``i`` and ``i + 1`` differ by more than the row's gap
+    ``rel_gap * max(1, max |v|)``, returned with that axis kept; a block is a
+    run of values between two breaks.
+    """
+    gap = rel_gap * np.maximum(
+        1.0, np.max(np.abs(ranked), axis=-1, keepdims=True, initial=0.0)
+    )
+    return np.abs(np.diff(ranked, axis=-1)) > gap, gap
+
+
+def _chamber_level(sector: Sector, spectra: np.ndarray) -> np.ndarray:
+    """The level ``c . b`` of chamber points whose spectra are stacked on the last axis.
+
+    ``c`` stacks the spectra and ``b = c + 1/N`` is the NNLS target; identical
+    particles carry the factor ``L`` (``Sector.copies``).
+    """
+    return sector.copies * np.sum(spectra * (spectra + 1.0 / sector.local_dim), axis=-1)
+
+
+def _level_screen(sector: Sector, spectra: np.ndarray) -> tuple[np.ndarray, int]:
+    """Which chamber points can hold an on-level block, and the longest block.
+
+    ``spectra`` has one row per point, its spectra concatenated; the ket
+    values of every row are ``spectra @ _ket_weights(sector)``, the diagonal
+    of its chamber operator.  ``_marginal_feasible`` passes a block only if
+    its mean lies within ``LEVEL_TOL`` of the level, and every value of a
+    block lies within ``size - 1`` gaps of its mean, so a point is kept when
+    some ket value lies within ``LEVEL_TOL`` plus ``dim`` gaps of its level
+    (the last gap covers rounding).  The longest block is taken over every
+    row with the default grouping of ``alpha_star_eigenspaces``.
+    """
+    values = spectra @ _ket_weights(sector)
+    breaks, gap = _block_breaks(np.sort(values, axis=-1), DEGENERACY_REL_GAP)
+    level = _chamber_level(sector, spectra)[:, None]
+    keep = np.any(np.abs(values - level) <= LEVEL_TOL + values.shape[1] * gap, axis=-1)
+    # Every row opens a block, so no run of the flat mask spans two rows.
+    starts = np.flatnonzero(np.column_stack([np.ones(len(values), bool), breaks]))
+    return keep, int(np.diff(starts, append=values.size).max())
 
 
 def nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
@@ -190,9 +235,9 @@ def _marginal_feasible(report: EigenspaceReport, tol: float = 1e-9) -> bool:
     """
     sector = report.alpha.sector
     spectra = np.concatenate(report.alpha.spectra)
-    b = spectra + 1.0 / sector.local_dim
-    if abs(report.eigenvalue - sector.copies * float(spectra @ b)) > LEVEL_TOL:
+    if abs(report.eigenvalue - _chamber_level(sector, spectra)) > LEVEL_TOL:
         return False
+    b = spectra + 1.0 / sector.local_dim
     kets = np.argmax(np.abs(report.basis), axis=0)
     rows = _ket_weights(sector)[:, kets] / sector.copies
     A = np.vstack([rows, np.ones(kets.size)])

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .critical import (
+    _level_screen,
     alpha_star_eigenspaces,
     qubit_spectrum_point,
     qubit_weyl_grid,
@@ -30,6 +32,10 @@ from .statespace import (
     normalize,
     random_state,
 )
+
+
+# Grid points screened per batch: bounds the screen's arrays at any grid size.
+_SCREEN_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -138,7 +144,11 @@ def dicke_rho_eigenvalues(record: FamilyRecord) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class QubitScanResult:
-    """Outcome of the chamber-grid scan over a distinguishable qubit sector."""
+    """Outcome of the chamber-grid scan over a distinguishable qubit sector.
+
+    ``max_multiplicity`` is the longest eigenvalue block over the whole grid,
+    off-level points included.
+    """
 
     families: list[FamilyRecord]
     zero_family: FamilyRecord | None
@@ -155,21 +165,33 @@ def scan_qubit_families(
 ) -> QubitScanResult:
     """Null-cone family scan for ``parties`` distinguishable qubits.
 
-    Walks the rational chamber grid, enumerates eigenvalue blocks of each
-    chamber operator, flows ``||mu||^2`` inside every feasible block to a
-    state whose momentum image is the chamber point
-    (``self_consistent_critical``), and groups the critical states found by
-    stratum.  The zero-level family, when present, is located by flowing a
-    seeded random state.
+    Walks the rational chamber grid.  A batched product over the grid
+    (``_level_screen``, ``_SCREEN_ROWS`` points at a time) keeps the points
+    where some basis ket lies at the level ``||alpha||^2``, the only points
+    that can carry a critical state, and reads the longest eigenvalue block
+    of the whole grid.  At each kept point, in grid order,
+    it enumerates the eigenvalue blocks of the chamber operator, flows
+    ``||mu||^2`` inside every feasible block to a state whose momentum image
+    is the chamber point (``self_consistent_critical``), and groups the
+    critical states found by stratum.  The zero-level family, when present,
+    is located by flowing a seeded random state; ``config`` sizes only that
+    flow.
     """
     sector = distinguishable(parties, 2)
     grid = qubit_weyl_grid(parties, max_denominator)
-    found: dict[tuple[float, ...], FamilyRecord] = {}
+    on_level: list[bool] = []
     max_multiplicity = 0
-    for lambdas in grid:
+    for lo in range(0, len(grid), _SCREEN_ROWS):
+        # Party p's spectrum is (l_p, -l_p), as in qubit_spectrum_point.
+        tops = np.array(grid[lo : lo + _SCREEN_ROWS])
+        spectra = np.stack([tops, -tops], axis=-1).reshape(len(tops), -1)
+        keep, longest = _level_screen(sector, spectra)
+        on_level.extend(keep)
+        max_multiplicity = max(max_multiplicity, longest)
+    found: dict[tuple[float, ...], FamilyRecord] = {}
+    for lambdas in compress(grid, on_level):
         alpha = qubit_spectrum_point(sector, lambdas)
         for report in alpha_star_eigenspaces(alpha):
-            max_multiplicity = max(max_multiplicity, report.multiplicity)
             states = self_consistent_critical(
                 report, tol=self_consistency_tol, seed=seed
             )

@@ -725,6 +725,58 @@ class TestChamberBlocks:
         assert len(calls) < 0.02 * blocks
 
 
+def _level(alpha: SpectrumPoint) -> float:
+    """``||alpha||^2`` in the pairing of the blocks: times ``L`` for identical particles."""
+    level = sum(float(np.sum(s * s)) for s in alpha.spectra)
+    return level * alpha.sector.parties if alpha.sector.identical else level
+
+
+def _screen(points):
+    """``_level_screen`` of chamber points of one sector, one row per point."""
+    spectra = np.array([np.concatenate(alpha.spectra) for alpha in points])
+    return critical._level_screen(points[0].sector, spectra)
+
+
+class TestLevelScreen:
+    """The batched screen keeps every point whose blocks can pass the level check."""
+
+    @pytest.mark.parametrize("parties,q", [(3, 6), (4, 4)])
+    def test_keeps_every_on_level_block_and_reads_the_longest(self, parties, q):
+        sector = distinguishable(parties, 2)
+        points = [qubit_spectrum_point(sector, lam) for lam in qubit_weyl_grid(parties, q)]
+        keep, longest = _screen(points)
+        multiplicities = []
+        for alpha, kept in zip(points, keep):
+            for report in alpha_star_eigenspaces(alpha):
+                multiplicities.append(report.multiplicity)
+                if abs(report.eigenvalue - _level(alpha)) <= LEVEL_TOL:
+                    assert kept, alpha.spectra
+        assert 0 < keep.sum() < 0.1 * len(points)
+        assert longest == max(multiplicities)
+
+    @pytest.mark.parametrize(
+        "block", [_two_qutrit_rank_two_block, _two_mode_boson_block], ids=["qutrits", "bosons"]
+    )
+    def test_keeps_a_point_with_a_feasible_block(self, block):
+        alpha = block().alpha
+        keep, longest = _screen([alpha])
+        assert keep.tolist() == [True]
+        assert longest == max(r.multiplicity for r in alpha_star_eigenspaces(alpha))
+
+    def test_keeps_every_feasible_point_of_the_sample_sectors(self):
+        by_sector: dict = {}
+        for alpha in _sample_alphas():
+            by_sector.setdefault(alpha.sector, []).append(alpha)
+        for points in by_sector.values():
+            keep, longest = _screen(points)
+            reports = [alpha_star_eigenspaces(alpha) for alpha in points]
+            for kept, blocks in zip(keep, reports):
+                if any(_marginal_feasible(r) for r in blocks):
+                    assert kept
+            assert not keep.all()
+            assert longest == max(r.multiplicity for blocks in reports for r in blocks)
+
+
 def _nnls_problems():
     """Seeded ``(kind, A, b)`` problems for the in-module NNLS."""
     rng = np.random.default_rng(1974)

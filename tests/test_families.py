@@ -9,16 +9,27 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sloccflow.critical import classify
+from sloccflow import families
+from sloccflow.critical import (
+    alpha_star_eigenspaces,
+    classify,
+    qubit_spectrum_point,
+    qubit_weyl_grid,
+    self_consistent_critical,
+)
 from sloccflow.families import (
+    _record,
     bipartite_families,
     boson_pair_families,
     dicke_families,
     fermion_pair_families,
     scan_qubit_families,
 )
+from sloccflow.flow import flow_to_critical
+from sloccflow.statespace import distinguishable, random_state
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -53,6 +64,45 @@ def test_scan_lists_equal_distances_by_label(seed):
     families = scan_qubit_families(3, 6, seed=seed).families
     keys = [(round(f.d_value, 9), f.label) for f in families]
     assert keys == sorted(keys)
+
+
+def _walk_every_point(parties, q, seed=0):
+    """The scan without the level screen: every grid point, every block."""
+    sector = distinguishable(parties, 2)
+    grid = qubit_weyl_grid(parties, q)
+    found, longest = {}, 0
+    for lambdas in grid:
+        alpha = qubit_spectrum_point(sector, lambdas)
+        for report in alpha_star_eigenspaces(alpha):
+            longest = max(longest, report.multiplicity)
+            key = tuple(round(v, 9) for v in lambdas)
+            for state in self_consistent_critical(report, seed=seed):
+                if key not in found:
+                    found[key] = _record(f"alpha={key}", state, 1e-6, stratum=alpha)
+    probe, _ = flow_to_critical(random_state(sector, np.random.default_rng(seed)))
+    return found, probe, len(grid), longest
+
+
+def _invariants(record):
+    spectra = tuple(tuple(s.tolist()) for s in record.stratum.spectra)
+    return record.label, record.d_value, record.morse_index, spectra
+
+
+@pytest.mark.parametrize(
+    "parties,q,batch", [(2, 12, None), (3, 6, None), (4, 4, None), (3, 6, 55)]
+)
+def test_scan_equals_a_walk_over_every_grid_point(monkeypatch, parties, q, batch):
+    if batch is not None:
+        # 171 points in four screen batches; the last six hold no block of
+        # four kets, the longest on this grid.
+        monkeypatch.setattr(families, "_SCREEN_ROWS", batch)
+    scan = scan_qubit_families(parties, q)
+    found, probe, size, longest = _walk_every_point(parties, q)
+    assert scan.families
+    assert sorted(map(_invariants, scan.families)) == sorted(map(_invariants, found.values()))
+    assert scan.zero_family is not None
+    assert np.array_equal(scan.zero_family.state.amplitudes, probe.amplitudes)
+    assert (scan.grid_size, scan.max_multiplicity) == (size, longest)
 
 
 def _records():
