@@ -35,6 +35,7 @@ from .momentum import (
     _one_body_diagonal,
     casimir_constant,
     momentum,
+    nnls,
     psi,
 )
 from .morse import (
@@ -181,44 +182,6 @@ def _level_screen(sector: Sector, spectra: np.ndarray) -> tuple[np.ndarray, int]
     # Every row opens a block, so no run of the flat mask spans two rows.
     starts = np.flatnonzero(np.column_stack([np.ones(len(values), bool), breaks]))
     return keep, int(np.diff(starts, append=values.size).max())
-
-
-def nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """``x >= 0`` minimizing ``||A x - b||``, and that residual norm.
-
-    The active-set method of Lawson and Hanson (*Solving Least Squares
-    Problems*, 1974, ch. 23): the coordinate with the largest positive dual
-    ``A^T (b - A x)`` joins the passive set, least squares is solved on the
-    passive columns, and while a passive coordinate of that solve is
-    negative the iterate moves towards it until the first one reaches zero
-    and leaves the set.  Raises ``RuntimeError`` if ``3 n`` additions to the
-    passive set do not settle it.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m, n = A.shape
-    rounding, scale = 10 * max(m, n) * np.finfo(float).eps, np.linalg.norm(A)
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    for _ in range(3 * n + 1):
-        dual = np.where(passive, -np.inf, A.T @ (b - A @ x))
-        # A dual below the rounding of ``A^T (b - A x)`` counts as zero.
-        tol = rounding * scale * (np.linalg.norm(b) + scale * np.linalg.norm(x))
-        if passive.all() or dual.max() <= tol:
-            return x, float(np.linalg.norm(A @ x - b))
-        passive[np.argmax(dual)] = True
-        while True:
-            s = np.zeros(n)
-            s[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
-            blocking = np.flatnonzero(passive & (s < 0))
-            if not blocking.size:
-                break
-            ratios = x[blocking] / (x[blocking] - s[blocking])
-            x += ratios.min() * (s - x)
-            x[blocking[np.argmin(ratios)]] = 0.0
-            passive &= x > 0
-        x = s
-    raise RuntimeError("nnls: iteration limit reached")
 
 
 def _marginal_feasible(report: EigenspaceReport, tol: float = 1e-9) -> bool:

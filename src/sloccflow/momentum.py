@@ -334,52 +334,57 @@ def weight_margin(sector: Sector) -> float | None:
     return float(candidates.min()) if candidates.size else None
 
 
+def nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """``x >= 0`` minimizing ``||A x - b||``, and that residual norm.
+
+    The active-set method of Lawson and Hanson (*Solving Least Squares
+    Problems*, 1974, ch. 23): the coordinate with the largest positive dual
+    ``A^T (b - A x)`` joins the passive set, least squares is solved on the
+    passive columns, and while a passive coordinate of that solve is
+    negative the iterate moves towards it until the first one reaches zero
+    and leaves the set.  Raises ``RuntimeError`` if ``3 n + 1`` additions to
+    the passive set do not settle it.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n = A.shape
+    rounding, scale = 10 * max(m, n) * np.finfo(float).eps, np.linalg.norm(A)
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    for _ in range(3 * n + 1):
+        dual = np.where(passive, -np.inf, A.T @ (b - A @ x))
+        # A dual below the rounding of ``A^T (b - A x)`` counts as zero.
+        tol = rounding * scale * (np.linalg.norm(b) + scale * np.linalg.norm(x))
+        if passive.all() or dual.max() <= tol:
+            return x, float(np.linalg.norm(A @ x - b))
+        passive[np.argmax(dual)] = True
+        while True:
+            s = np.zeros(n)
+            s[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+            blocking = np.flatnonzero(passive & (s < 0))
+            if not blocking.size:
+                break
+            ratios = x[blocking] / (x[blocking] - s[blocking])
+            x += ratios.min() * (s - x)
+            x[blocking[np.argmin(ratios)]] = 0.0
+            passive &= x > 0
+        x = s
+    raise RuntimeError("nnls: iteration limit reached")
+
+
 def _min_norm_point(points: np.ndarray) -> np.ndarray:
     """Barycentric coordinates of the minimum-norm point of the columns' convex hull.
 
-    Wolfe's active set (Math. Programming 11, 128-149, 1976).  A major cycle
-    adds the column lowest below the current point ``beta``, one with
-    ``<p, beta> < ||beta||^2``; it stops when there is none.  A minor cycle
-    solves the affine minimum-norm point of the active columns from the
-    bordered Gram ``[[G, 1], [1^T, 0]]``; while a coordinate of it is not
-    positive, the point moves towards it until the first coordinate reaches
-    zero, and that column leaves.
+    Least-distance programming reduced to ``nnls`` (Lawson and Hanson, ch.
+    23): ``u >= 0`` minimizing ``||[P; 1^T] u - e_last||``.  Write ``u = t
+    lam`` with ``lam`` in the simplex; the objective ``t^2 ||P lam||^2 +
+    (t - 1)^2`` is smallest at ``t = 1 / (1 + ||P lam||^2)``, where it is
+    ``||P lam||^2 / (1 + ||P lam||^2)``, increasing in ``||P lam||``.  So
+    ``u / sum(u)`` is the answer, and ``t > 0`` keeps ``u`` off zero.
     """
-    n = points.shape[1]
-    norms = np.einsum("ij,ij->j", points, points)
-    tol = 1e-12 * max(1.0, float(norms.max()))
-    active, coords = [int(np.argmin(norms))], np.ones(1)
-    # Each major cycle lowers ``||beta||`` and no active set recurs; the cap
-    # only guards rounding.
-    for _ in range(2 * n):
-        beta = points[:, active] @ coords
-        heights = beta @ points
-        j = int(np.argmin(heights))
-        if heights[j] >= beta @ beta - tol or j in active:
-            break
-        active.append(j)
-        coords = np.append(coords, 0.0)
-        while True:
-            k = len(active)
-            border = np.ones((k + 1, k + 1))
-            border[:k, :k] = points[:, active].T @ points[:, active]
-            border[k, k] = 0.0
-            rhs = np.zeros(k + 1)
-            rhs[k] = 1.0
-            affine = np.linalg.solve(border, rhs)[:k]
-            if np.all(affine > 0):
-                coords = affine
-                break
-            down = np.flatnonzero(affine <= 0)
-            steps = coords[down] / (coords[down] - affine[down])
-            coords = coords + steps.min() * (affine - coords)
-            coords[down[np.argmin(steps)]] = 0.0
-            keep = coords > 0
-            active = [a for a, kept in zip(active, keep) if kept]
-            coords = coords[keep]
-    x = np.zeros(n)
-    x[active] = coords
-    return x
+    e_last = np.append(np.zeros(len(points)), 1.0)
+    u, _ = nnls(np.vstack([points, np.ones(points.shape[1])]), e_last)
+    return u / u.sum()
 
 
 # Support thresholds, relative to the largest ``|amp|^2``, widest support first.
@@ -401,12 +406,13 @@ def _level_certificate(
     ``||mu||^2 = mu2``.  In the eigenbases of its densities the momentum image
     is ``sum_k |amp_k|^2 w_k`` over the ket weights ``w_k`` (``_ket_weights``
     minus ``copies / N``), and ``beta``, the minimum-norm point of the convex
-    hull of the supported kets' weights, bounds the level from below: a state
-    in ``Y_beta = span{kets with <w, beta> >= ||beta||^2}`` goes to zero under
-    ``exp(-t beta)``, so it lies in the null cone at a level of at least
-    ``||beta||^2`` (Kempf 1978; Hesselink 1979; Ness 1984; Kirwan 1984).  A
-    flow bounds it from above by ``mu2``.  The level is ``||beta||^2`` when a
-    support of ``CERTIFICATE_SUPPORTS`` gives ``||beta||^2 > 1e-9`` within
+    hull of the supported kets' weights (``_min_norm_point``, one ``nnls``
+    solve), bounds the level from below: a state in ``Y_beta = span{kets with
+    <w, beta> >= ||beta||^2}`` goes to zero under ``exp(-t beta)``, so it lies
+    in the null cone at a level of at least ``||beta||^2`` (Kempf 1978;
+    Hesselink 1979; Ness 1984; Kirwan 1984).  A flow bounds it from above by
+    ``mu2``.  The level is ``||beta||^2`` when a support of
+    ``CERTIFICATE_SUPPORTS`` gives ``||beta||^2 > 1e-9`` within
     ``CERTIFICATE_LEVEL_GAP`` of ``mu2``, with at most
     ``CERTIFICATE_OUTSIDE_MASS`` of the state outside ``Y_beta``.  The state's
     amplitudes off ``Z_beta = span{kets with <w, beta> = ||beta||^2}`` are then

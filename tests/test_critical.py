@@ -43,6 +43,7 @@ from sloccflow.morse import morse_index
 from sloccflow.statespace import (
     LocalOperator,
     PureState,
+    _ket_weights,
     apply_local,
     bosonic,
     dicke,
@@ -777,8 +778,13 @@ class TestLevelScreen:
             assert longest == max(r.multiplicity for blocks in reports for r in blocks)
 
 
+def _least_distance(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_min_norm_point``'s reduction: ``A = [P; 1^T]`` and ``b = e_last``."""
+    return np.vstack([points, np.ones(points.shape[1])]), np.append(np.zeros(len(points)), 1.0)
+
+
 def _nnls_problems():
-    """Seeded ``(kind, A, b)`` problems for the in-module NNLS."""
+    """Seeded ``(kind, A, b)`` problems for the package's NNLS."""
     rng = np.random.default_rng(1974)
     for _ in range(300):
         m, n = rng.integers(1, 9, size=2)
@@ -805,6 +811,16 @@ def _nnls_problems():
         m, n = rng.integers(1, 9, size=2)
         yield "negative", rng.random((m, n)), -rng.random(m) - 0.1
         yield "zero", rng.standard_normal((m, n)), np.zeros(m)
+    for _ in range(100):
+        # Integer clouds, repeated and affinely dependent points included.
+        cloud = rng.integers(-3, 4, size=(rng.integers(1, 5), rng.integers(1, 9)))
+        yield "least-distance", *_least_distance(cloud.astype(float))
+    for sector in (distinguishable(3, 2), distinguishable(2, 3), bosonic(4, 2), fermionic(2, 4)):
+        weights = _ket_weights(sector) - sector.copies / sector.local_dim
+        for _ in range(25):
+            size = rng.integers(1, sector.dim + 1)
+            support = rng.choice(sector.dim, size, replace=False)
+            yield "least-distance", *_least_distance(weights[:, support])
 
 
 class TestNnls:
@@ -827,6 +843,8 @@ class TestNnls:
             if kind in ("negative", "zero"):
                 assert not x.any() and residual == np.linalg.norm(b)
         assert {("feasible", True), ("marginals", True), ("marginals", False)} <= verdicts
+        # The origin lies in some of the hulls and outside others.
+        assert {("least-distance", True), ("least-distance", False)} <= verdicts
 
 
 class TestTrivialLocalDimension:

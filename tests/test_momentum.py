@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -5,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from sloccflow import critical
 from sloccflow.errors import NotInWeylChamber, NotQubitSector, ShapeMismatch
 from sloccflow.momentum import (
     MARGIN_PIVOT_TOL,
@@ -598,3 +600,18 @@ class TestLevelCertificate:
         moved = normalize(apply_local(ops, w3))
         assert mu_norm_sq(moved) > 1 / 6 + 1e-3
         assert _certificate(moved) is None
+
+    def test_the_certificate_and_the_chamber_share_one_nnls(self, w3, monkeypatch):
+        # ``sloccflow.momentum`` is the function; the module has to be looked up.
+        module = importlib.import_module("sloccflow.momentum")
+        assert critical.nnls is module.nnls
+        calls = []
+        solve = module.nnls
+
+        def counting_nnls(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(module, "nnls", counting_nnls)
+        assert _certificate(w3) is not None
+        assert calls
