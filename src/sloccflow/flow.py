@@ -132,7 +132,7 @@ def _gradient(
     sector: Sector, mats: np.ndarray, views: np.ndarray, amps: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Projected coadjoint image and its Rayleigh value, from the state's axis views."""
-    image = sector.copies * _project(sector, _gathered_one_body(mats, views))
+    image = sector.copies * _project(sector, _gathered_one_body(sector, mats, views))
     lam = float(np.vdot(amps, image).real)
     return image - lam * amps, lam
 
@@ -147,8 +147,8 @@ def _advance(sector: Sector, mats: np.ndarray, tensor: np.ndarray, scale: float)
 def _at(sector: Sector, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tensor, axis views and shifted densities of unit amplitudes."""
     tensor = _embed(sector, amps)
-    views = _axis_views(tensor)
-    return tensor, views, _shifted_densities(views, sector.acting)
+    views = _axis_views(sector, tensor)
+    return tensor, views, _shifted_densities(views)
 
 
 def flow_step(state: PureState, step: float) -> PureState:

@@ -8,7 +8,10 @@ identical particles the group acts diagonally, so each of the ``L`` particles
 contributes one copy of the same shifted density: the coadjoint element is
 ``L * (rho - I/N)`` even though a single matrix is stored.  This is the unique
 scaling under which total variance plus squared momentum norm is a sector
-constant and ``<v|mu* v> = ||mu||^2`` holds in every sector.
+constant and ``<v|mu* v> = ||mu||^2`` holds in every sector.  The single
+density is read off the first tensor axis, and the one-body images and frame
+columns of an identical sector act on that axis alone, ``copies`` times,
+which is exact after the projection onto the sector (``statespace``).
 """
 
 from __future__ import annotations
@@ -167,13 +170,13 @@ def _densities(views: np.ndarray) -> np.ndarray:
     return (rho + rho.conj().swapaxes(1, 2)) * (0.5 / norm)
 
 
-def _shifted_densities(views: np.ndarray, count: int) -> np.ndarray:
-    """``rho_p - I/N`` for the first ``count`` axes, from ``statespace._axis_views``.
+def _shifted_densities(views: np.ndarray) -> np.ndarray:
+    """``rho_a - I/N`` per acting factor, from ``statespace._axis_views``.
 
-    Raw-array form shared by ``momentum`` and the flow loop: shape ``(count, N, N)``.
+    Raw-array form shared by ``momentum`` and the flow loop: shape ``(acting, N, N)``.
     """
-    N = views.shape[1]
-    shifted = _densities(views[:count])
+    count, N = views.shape[:2]
+    shifted = _densities(views)
     shifted.reshape(count, N * N)[:, :: N + 1] -= 1.0 / N
     return shifted
 
@@ -191,9 +194,8 @@ def _norm_sq(sector: Sector, mats: np.ndarray) -> float:
 def reduced_density(state: PureState, party: int = 0) -> np.ndarray:
     """Reduced one-particle density matrix of a normalized state.
 
-    The party argument is ignored for identical particles (all reductions
-    coincide); identical sectors are handled by embedding into the tensor
-    power and tracing out everything but one slot.
+    The party argument is ignored for identical particles: all reductions
+    coincide, and the one read is that of the first tensor axis.
     """
     sector = state.sector
     L = sector.parties
@@ -201,14 +203,14 @@ def reduced_density(state: PureState, party: int = 0) -> np.ndarray:
         party = 0
     if not 0 <= party < L:
         raise PartyOutOfRange(f"party {party} outside 0..{L - 1}")
-    return _densities(_axis_views(state.to_tensor())[party : party + 1])[0]
+    return _densities(_axis_views(sector, state.to_tensor())[party : party + 1])[0]
 
 
 def momentum(state: PureState) -> MomentumPoint:
     """Momentum image: shifted reduced density per party (one if identical)."""
     sector = state.sector
-    views = _axis_views(state.to_tensor())
-    return MomentumPoint(sector, tuple(_shifted_densities(views, sector.acting)))
+    views = _axis_views(sector, state.to_tensor())
+    return MomentumPoint(sector, tuple(_shifted_densities(views)))
 
 
 def _point_matrices(
@@ -469,8 +471,15 @@ def _generator_columns(sector: Sector, x: np.ndarray) -> np.ndarray:
 
 
 def _frame_gram(sector: Sector, tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``Re(v^H C)`` and ``Re(C^H C)`` for the frame columns ``C = [X_i v]`` on a tensor ``v``."""
+    """``Re(v^H C)`` and ``Re(C^H C)`` for the frame columns ``C = [X_i v]`` on a tensor ``v``.
+
+    Identical-particle images are right after the projection
+    (``statespace._axis_views``), so for them both are formed on the
+    projected ``dim x K`` columns.
+    """
     cols = _factor_images(sector, gell_mann_frame(sector.local_dim), tensor)
+    if sector.identical:
+        tensor, cols = _project(sector, tensor), _project(sector, cols)
     cols = cols.reshape(tensor.size, -1)
     return (tensor.reshape(-1).conj() @ cols).real, (cols.conj().T @ cols).real
 

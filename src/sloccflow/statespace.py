@@ -12,6 +12,14 @@ Basis conventions (these fix the on-disk amplitude ordering):
 
 Amplitudes of identical-particle states are coefficients in the orthonormal
 sector basis, so inner products are plain vector dot products in every sector.
+
+Identical particles act through one axis.  For a sector state ``v`` and the
+projection ``Pi = V^T`` of the embedding isometry, ``Pi (M on axis p) v`` is
+the same for every copy ``p``, so ``Pi dGamma(M) v = copies Pi (M x 1 x .. x
+1) v``: the one-body images, densities and generator columns of a bosonic or
+fermionic state read its axis-0 matricization, a reshape, and are right
+after ``_project``.  The all-axes gather serves distinguishable parties, and
+the group action ``_local_product`` still acts on every axis.
 """
 
 from __future__ import annotations
@@ -321,23 +329,35 @@ def _axis_maps(parties: int, local_dim: int) -> tuple[np.ndarray, np.ndarray]:
     return maps, inverse
 
 
-def _axis_views(tensor: np.ndarray, parties: int | None = None) -> np.ndarray:
-    """Every axis's matricization of a state tensor, stacked in one gather.
+def _axis_views(sector: Sector, tensor: np.ndarray) -> np.ndarray:
+    """The matricizations the acting factors read, stacked: ``(acting, N, N^(L-1)) + batch``.
 
-    The first ``parties`` axes (all by default) are unfolded and any further
-    axes kept as a batch: shape ``(L, N, N^(L-1)) + batch``.  Every reduction
-    and one-body image reads these views, so a state without particles stops here.
+    Distinguishable parties gather every axis in one fancy-index call;
+    identical particles read axis 0 alone, a reshape (the one-axis rule of the
+    module docstring).  Trailing batch axes are kept.  Every reduction and
+    one-body image reads these views, so a state without particles stops here.
     """
-    L = tensor.ndim if parties is None else parties
+    L, N = sector.parties, sector.local_dim
     if L == 0:
         raise ShapeMismatch("a state without particles has no one-particle reduction")
-    maps, _ = _axis_maps(L, tensor.shape[0])
-    return tensor.reshape((-1,) + tensor.shape[L:])[maps]
+    batch = tensor.shape[L:]
+    if sector.identical:
+        return tensor.reshape((1, N, N ** (L - 1)) + batch)
+    maps, _ = _axis_maps(L, N)
+    return tensor.reshape((-1,) + batch)[maps]
 
 
-def _gathered_one_body(mats: np.ndarray, views: np.ndarray) -> np.ndarray:
-    """``_one_body`` on stacked axis views; the acting matrices broadcast over copies."""
-    L, N = views.shape[:2]
+def _gathered_one_body(sector: Sector, mats: np.ndarray, views: np.ndarray) -> np.ndarray:
+    """``_one_body`` on a state's ``_axis_views``.
+
+    Distinguishable images fold back through the inverse map and sum over the
+    axes; an identical factor's axis-0 image, batch and all, counts ``copies``
+    times and is right after ``_project``.
+    """
+    L, N = sector.parties, sector.local_dim
+    if sector.identical:
+        image = (sector.copies * mats[0]) @ views.reshape(N, -1)
+        return image.reshape((N,) * L + views.shape[3:])
     _, inverse = _axis_maps(L, N)
     return (mats @ views).reshape(-1)[inverse].sum(axis=0).reshape((N,) * L)
 
@@ -372,46 +392,60 @@ def _local_product(sector: Sector, mats: np.ndarray, tensor: np.ndarray) -> np.n
 def _one_body(sector: Sector, mats: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     """The algebra action ``sum_p I x..x M_p x..x I``, one matrix per acting factor.
 
-    Each column of a trailing batch goes through the all-axes gather in turn,
-    which never holds every axis's copy of the whole block at once.
+    For identical particles the result is right after ``_project`` and takes
+    a trailing batch in one GEMM on the axis-0 view.
+    Distinguishable parties take each column of a batch through the all-axes
+    gather in turn, which never holds every axis's copy of the whole block at once.
     """
+    if sector.identical:
+        return _gathered_one_body(sector, mats, _axis_views(sector, tensor))
     columns = tensor.reshape(tensor.shape[: sector.parties] + (-1,))
     out = np.empty_like(columns)
     for j in range(columns.shape[-1]):
-        out[..., j] = _gathered_one_body(mats, _axis_views(columns[..., j]))
+        out[..., j] = _gathered_one_body(sector, mats, _axis_views(sector, columns[..., j]))
     return out.reshape(tensor.shape)
 
 
 def _one_body_matrix(sector: Sector, mats: np.ndarray) -> np.ndarray:
-    """Dense sector-basis matrix of ``_one_body``: the Kronecker sum, through the isometry."""
+    """Dense sector-basis matrix of ``_one_body``.
+
+    Identical particles: ``copies V^T (M x 1 x .. x 1) V``, ``_one_body`` on
+    the isometry's columns, with no ``N^L x N^L`` array.  Distinguishable
+    parties: the Kronecker sum, written into diagonal views of one array.
+    """
     L, N = sector.parties, sector.local_dim
+    if sector.identical:
+        V = embedding_isometry(sector)
+        return _project(sector, _one_body(sector, mats, V.reshape((N,) * L + (sector.dim,))))
     out = np.zeros((N**L, N**L), dtype=complex)
     for p in range(L):
         # ``I_(N^p) x M_p x I`` on the blocks ``[i, :, j, i, :, j]``, a view into ``out``.
         blocks = out.reshape(N**p, N, N ** (L - p - 1), N**p, N, N ** (L - p - 1))
-        np.einsum("ixjiyj->ijxy", blocks)[...] += mats[p % sector.acting]
-    if sector.identical:
-        out = embedding_isometry(sector).T @ out @ embedding_isometry(sector)
+        np.einsum("ixjiyj->ijxy", blocks)[...] += mats[p]
     return out
 
 
 def _factor_images(sector: Sector, frame: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     """``_one_body`` of each ``frame`` matrix in one acting factor, zero in the others.
 
-    One batched product of the frame with the axis views, folded back through
-    the inverse map; an identical factor sums over its copies.  Shape
-    ``(N,)*L + batch + (acting * K,)``, factor-major.
+    One batched product of the frame with the axis views.  An identical
+    factor's axis-0 images count ``copies`` times and are right after
+    ``_project``; distinguishable images fold back through the inverse map.
+    Shape ``(N,)*L + batch + (acting * K,)``, factor-major.
     """
     L, N, K = sector.parties, sector.local_dim, len(frame)
-    views = _axis_views(tensor, L).reshape(L, N, -1)
+    if sector.identical:
+        # ``(N, N^(L-1) * batch, K)``: every frame matrix on the axis-0 view.
+        view = _axis_views(sector, tensor).reshape(N, -1)
+        images = np.matmul(view.T, sector.copies * frame.transpose(1, 2, 0))
+        return images.reshape(tensor.shape + (K,))
+    views = _axis_views(sector, tensor).reshape(L, N, -1)
     _, inverse = _axis_maps(L, N)
     # ``(L, N, N^(L-1) * batch, K)``: every frame matrix on every view, in view order.
     images = np.matmul(views.swapaxes(1, 2)[:, None], frame.transpose(1, 2, 0))
     folded = np.take(images.reshape(L * N**L, -1), inverse.T, axis=0)
-    if sector.identical:
-        folded = folded.sum(axis=1, keepdims=True)
-    folded = folded.reshape((N**L, sector.acting) + tensor.shape[L:] + (K,))
-    return np.moveaxis(folded, 1, -2).reshape(tensor.shape + (sector.acting * K,))
+    folded = folded.reshape((N**L, L) + tensor.shape[L:] + (K,))
+    return np.moveaxis(folded, 1, -2).reshape(tensor.shape + (L * K,))
 
 
 def apply_local(ops: list[LocalOperator] | LocalOperator, state: PureState) -> PureState:

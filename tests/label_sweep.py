@@ -13,10 +13,8 @@ given seeds (``perfbench/generate.py``), runs it through
 by operation: the oracle verdict, the Morse index, the stability class, ``d``
 within ``D_TOL`` and, for the chamber scan, the families (key, ``d`` and
 index).  It prints one line per difference and one summary line per
-workload with the wrong operations, the flow iterations and the flows that
-reached ``sloccflow.flow.CONSERVATIVE_PREFIX`` of each tree (``n/a`` for a
-tree without that constant) and the largest change of ``d``, and exits with
-status 1 when any label differs.
+workload with the wrong operations and the flow iterations of each tree and
+the largest change of ``d``, and exits with status 1 when any label differs.
 
 It is not a test module (pytest does not collect it); one sweep over seeds
 1-10 takes one to two minutes with one BLAS thread on a 2-vCPU host.
@@ -37,17 +35,12 @@ PINNED_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_
 
 
 def collect(workloads: list[str], seeds: list[int]) -> dict:
-    """Every operation's result and oracle problems, and the tree's flow prefix.
-
-    Operations are keyed ``workload/seed/id``; the prefix is ``None`` where
-    ``sloccflow.flow`` has no ``CONSERVATIVE_PREFIX``.
-    """
+    """Every operation's result and oracle problems, keyed ``workload/seed/id``."""
     import generate
     import oracle
     import worker
 
     import sloccflow
-    from sloccflow import flow
 
     out = {}
     for workload in workloads:
@@ -62,7 +55,7 @@ def collect(workloads: list[str], seeds: list[int]) -> dict:
                     "result": result,
                     "problems": oracle.check(op, result),
                 }
-    return {"prefix": getattr(flow, "CONSERVATIVE_PREFIX", None), "operations": out}
+    return out
 
 
 def run_tree(tree: str, workloads: list[str], seeds: list[int]) -> dict:
@@ -118,19 +111,6 @@ def differences(before: dict, after: dict) -> list[str]:
     return problems
 
 
-def _prefix_flows(tree: dict, keys: list[str]) -> str:
-    """How many of the operations' flows reached the tree's prefix, or ``n/a``."""
-    if tree["prefix"] is None:
-        return "n/a"
-    results = [tree["operations"][k]["result"] for k in keys]
-    # A flow stopped at the iteration cap ran past the prefix too.
-    reached = [
-        r.get("iterations", 0) >= tree["prefix"] or r.get("error", "").startswith("NotConverged")
-        for r in results
-    ]
-    return str(sum(reached))
-
-
 def _ds(entry: dict) -> list[float]:
     """The ``d`` values of one operation: its own, or its scan families'."""
     result = entry["result"]
@@ -161,8 +141,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if len(args.trees) != 2:
         parser.error("give two source trees: BEFORE AFTER")
-    trees = [run_tree(tree, args.workloads, seeds) for tree in args.trees]
-    before, after = (tree["operations"] for tree in trees)
+    before, after = (run_tree(tree, args.workloads, seeds) for tree in args.trees)
     changed = 0
     for key in sorted(set(before) ^ set(after)):
         print(f"{key}: only in {'BEFORE' if key in before else 'AFTER'}")
@@ -181,11 +160,9 @@ def main(argv: list[str] | None = None) -> int:
             (abs(a - b) for k in keys for a, b in zip(_ds(before[k]), _ds(after[k]))),
             default=0.0,
         )
-        prefix = [_prefix_flows(tree, keys) for tree in trees]
         print(
             f"{workload}: {len(keys)} operations, wrong {wrong[0]} -> {wrong[1]}, "
             f"flow iterations {moves[0]} -> {moves[1]}, "
-            f"flows reaching the prefix {prefix[0]} -> {prefix[1]}, "
             f"largest d change {shift:.1e}"
         )
     print(f"{changed} label differences over seeds {args.seeds}")

@@ -285,9 +285,9 @@ def test_rejected_move_costs_no_gradient(monkeypatch):
         trials.append(advance(sector, mats, tensor, scale))
         return trials[-1]
 
-    def counting_one_body(mats, views):
+    def counting_one_body(sector, mats, views):
         images.append(views)
-        return one_body(mats, views)
+        return one_body(sector, mats, views)
 
     def counting_frame_gram(sector, tensor):
         columns.append(tensor)

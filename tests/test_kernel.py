@@ -10,7 +10,13 @@ from sloccflow import morse, statespace
 from sloccflow.critical import classify, classify_with_trace
 from sloccflow.errors import ShapeMismatch
 from sloccflow.flow import _expm_traceless_hermitian
-from sloccflow.momentum import _generator_columns, _shifted_densities, gell_mann_frame
+from sloccflow.families import fermion_pair_state
+from sloccflow.momentum import (
+    _frame_gram,
+    _generator_columns,
+    _shifted_densities,
+    gell_mann_frame,
+)
 from sloccflow.statespace import (
     LocalOperator,
     PureState,
@@ -30,17 +36,29 @@ from sloccflow.statespace import (
 
 from conftest import random_special_linear
 
-LETTERS = "abcdefg"
+LETTERS = "abcdefghijk"
 KINDS = [distinguishable(3, 2), bosonic(3, 3), fermionic(2, 4)]
 # The local action on one to five axes of dimension 2 and 3; one axis is the
 # edge case of both the rotating product and the gather.
 ACTION_SECTORS = KINDS + [
     distinguishable(L, N) for L in range(1, 6) for N in (2, 3) if (L, N) != (3, 2)
 ] + [bosonic(1, 3), fermionic(1, 3)]
+# Identical sectors with at least three copies, where the fermion signs matter.
+WIDE_IDENTICAL = [bosonic(6, 2), fermionic(3, 5)]
 
 
 def _complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _all_axes_one_body(sector, mats, x):
+    """``sum_p M_p`` on axis ``p`` of ``x`` by einsum; an identical factor acts on every axis."""
+    L = sector.parties
+    cols, tail = LETTERS[:L], "z" * (x.ndim - L)
+    return sum(
+        np.einsum(f"Z{c},{cols}{tail}->{cols[:p]}Z{cols[p + 1:]}{tail}", mats[p % len(mats)], x)
+        for p, c in enumerate(cols)
+    )
 
 
 @pytest.mark.parametrize("N", [2, 3])
@@ -69,15 +87,20 @@ def test_apply_on_axis_matches_einsum(rng, N, L, batch):
 @pytest.mark.parametrize("N", [2, 3])
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
 def test_axis_views_are_every_matricization(rng, N, L):
+    sector = distinguishable(L, N)
     x = _complex(rng, (N,) * L)
-    views = _axis_views(x)
+    views = _axis_views(sector, x)
     assert views.shape == (L, N, N ** (L - 1))
     for p in range(L):
         assert np.array_equal(views[p], np.moveaxis(x, p, 0).reshape(N, -1))
     assert _axis_maps(L, N) is _axis_maps(L, N)
-    batched = _axis_views(x[..., None] * np.arange(1, 4), L)
+    batched = _axis_views(sector, x[..., None] * np.arange(1, 4))
     assert batched.shape == views.shape + (3,)
     assert np.array_equal(batched[..., 2], 3 * views)
+    # Identical particles read axis 0 alone, without a copy.
+    axis0 = _axis_views(bosonic(L, N), x)
+    assert axis0.shape == (1, N, N ** (L - 1))
+    assert np.shares_memory(axis0, x) and np.array_equal(axis0[0], views[0])
 
 
 @pytest.mark.parametrize("sector", KINDS, ids=str)
@@ -85,7 +108,7 @@ def test_shifted_densities_match_einsum(rng, sector):
     L, N = sector.parties, sector.local_dim
     x = _embed(sector, _complex(rng, sector.dim))
     cols = LETTERS[:L]
-    got = _shifted_densities(_axis_views(x), sector.acting)
+    got = _shifted_densities(_axis_views(sector, x))
     assert got.shape == (sector.acting, N, N)
     for p in range(sector.acting):
         kept = cols[:p] + "Z" + cols[p + 1 :]
@@ -93,7 +116,7 @@ def test_shifted_densities_match_einsum(rng, sector):
         want = rho / np.trace(rho).real - np.eye(N) / N
         assert np.max(np.abs(got[p] - want)) < 1e-13
     with pytest.raises(ShapeMismatch):
-        _shifted_densities(_axis_views(np.zeros_like(x)), sector.acting)
+        _shifted_densities(_axis_views(sector, np.zeros_like(x)))
 
 
 @pytest.mark.parametrize("N", [2, 3])
@@ -140,16 +163,19 @@ def test_local_action_matches_einsum(rng, sector, batch):
     got = _local_product(sector, mats, x)
     assert got.shape == x.shape
     assert np.max(np.abs(got - want)) < 1e-12
-    want = sum(
-        np.einsum(f"Z{cols[p]},{cols}{tail}->{cols[:p]}Z{cols[p + 1:]}{tail}", m, x)
-        for p, m in enumerate(per_axis)
-    )
+    if sector.identical:
+        # An identical sector's one-body image is that of a sector state,
+        # right after the projection.
+        x = _embed(sector, _complex(rng, (sector.dim,) + batch))
+    want = _all_axes_one_body(sector, mats, x)
     got = _one_body(sector, mats, x)
     assert got.shape == x.shape
+    if sector.identical:
+        want, got = _project(sector, want), _project(sector, got)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-@pytest.mark.parametrize("sector", KINDS, ids=str)
+@pytest.mark.parametrize("sector", KINDS + WIDE_IDENTICAL, ids=str)
 @pytest.mark.parametrize("batch", [(), (3,)])
 def test_generator_columns_match_einsum(rng, sector, batch):
     # Column ``(a, i)`` is frame matrix ``i`` summed over the axes of acting
@@ -174,14 +200,48 @@ def test_generator_columns_match_einsum(rng, sector, batch):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-@pytest.mark.parametrize("sector", ACTION_SECTORS, ids=str)
+@pytest.mark.parametrize("sector", ACTION_SECTORS + WIDE_IDENTICAL, ids=str)
 def test_one_body_matrix_is_the_one_body_sum(rng, sector):
-    # The Kronecker sum, column by column against the sum applied to each basis ket.
+    # Column by column against the all-axes sum applied to each basis ket.
     N = sector.local_dim
     mats = np.stack([_complex(rng, (N, N)) for _ in range(sector.acting)])
     eye = np.eye(sector.dim, dtype=complex)
-    want = _project(sector, _one_body(sector, mats, _embed(sector, eye)))
+    want = _project(sector, _all_axes_one_body(sector, mats, _embed(sector, eye)))
     assert np.max(np.abs(_one_body_matrix(sector, mats) - want)) < 1e-12
+
+
+@pytest.mark.parametrize("sector", [bosonic(10, 2), fermionic(3, 6), bosonic(5, 3)], ids=str)
+def test_frame_gram_is_the_gram_of_all_axes_columns(rng, sector):
+    # ``m`` and ``Re C^H C`` from the one-axis images against full columns.
+    t = _embed(sector, _complex(rng, sector.dim))
+    frame = gell_mann_frame(sector.local_dim)
+    cols = np.stack([_all_axes_one_body(sector, [xi], t).reshape(-1) for xi in frame], axis=1)
+    want_m, want_gram = (t.reshape(-1).conj() @ cols).real, (cols.conj().T @ cols).real
+    m, gram = _frame_gram(sector, t)
+    assert np.max(np.abs(m - want_m)) <= 1e-12 * np.max(np.abs(want_m))
+    assert np.max(np.abs(gram - want_gram)) <= 1e-12 * np.max(np.abs(want_gram))
+
+
+def test_identical_sectors_classify_through_one_axis(monkeypatch):
+    # Every density, one-body image and frame column of an identical sector
+    # reads the axis-0 matricization alone, never the all-axes gather.
+    axes = []
+    original = statespace._axis_views
+
+    def counting(*args, **kwargs):
+        views = original(*args, **kwargs)
+        axes.append(len(views))
+        return views
+
+    for name in ("statespace", "momentum", "flow", "morse", "critical"):
+        module = importlib.import_module(f"sloccflow.{name}")
+        if getattr(module, "_axis_views", None) is original:
+            monkeypatch.setattr(module, "_axis_views", counting)
+    rng = np.random.default_rng(5)
+    for state, index in ((dicke(2, 6), 6), (fermion_pair_state(6, 2), 2)):
+        g = LocalOperator(0, random_special_linear(rng, state.sector.local_dim, 0.3))
+        assert classify(apply_local(g, state)).morse_index == index
+    assert axes and max(axes) == 1
 
 
 def test_classify_sends_no_batch_to_the_one_body_sum(monkeypatch, rng):

@@ -579,7 +579,7 @@ class TestMinNormPoint:
 
 def _certificate(state):
     tensor = state.to_tensor()
-    mats = _shifted_densities(_axis_views(tensor), state.sector.acting)
+    mats = _shifted_densities(_axis_views(state.sector, tensor))
     return _level_certificate(state.sector, tensor, mats, mu_norm_sq(state))
 
 
