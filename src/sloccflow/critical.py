@@ -28,10 +28,11 @@ from .flow import (
     _on_zero_level,
     _snapped_spectra,
     flow_to_critical,
-    projected_gradient,
 )
 from .momentum import (
     SpectrumPoint,
+    _generator_block,
+    _GeneratorBlock,
     _one_body_diagonal,
     casimir_constant,
     momentum,
@@ -42,7 +43,6 @@ from .morse import (
     _critical_spectrum,
     complement_hessian_spectrum,  # noqa: F401  (the benchmark tracer wraps this binding)
     index_from_spectrum,
-    orbit_action_columns,
 )
 from .statespace import (
     PureState,
@@ -114,8 +114,8 @@ def eigenspace_csv(reports: list[EigenspaceReport]) -> str:
 
 def is_critical(state: PureState, tol: float = 1e-8) -> tuple[bool, float]:
     """Whether the projected momentum direction vanishes, plus the Rayleigh value."""
-    grad, lam = projected_gradient(state)
-    return float(np.linalg.norm(grad)) <= tol, lam
+    block = _generator_block(state.sector, normalize(state).to_tensor())
+    return block.grad_norm <= tol, block.lam
 
 
 def alpha_star_eigenspaces(
@@ -242,11 +242,11 @@ def self_consistent_critical(
     config = FlowConfig(max_iterations=max_iterations)
     for z0 in starts:
         try:
-            candidate, _ = flow_to_critical(PureState(sector, report.basis @ z0), config)
+            candidate, trace = flow_to_critical(PureState(sector, report.basis @ z0), config)
         except NotConverged:
             continue
-        ok, _ = is_critical(candidate, tol)
-        if ok and psi(candidate).allclose(report.alpha, tol):
+        # No flow stops on the zero level in the block, where ``||mu||^2 >= ||alpha||^2``.
+        if trace.samples[-1][2] <= tol and psi(candidate).allclose(report.alpha, tol):
             return [candidate]
     return []
 
@@ -254,7 +254,12 @@ def self_consistent_critical(
 def orbit_dimension(state: PureState, rel_tol: float = 1e-10) -> int:
     """Real dimension of the invertible-local-operations orbit through the state."""
     state = normalize(state)
-    s = np.linalg.svd(orbit_action_columns(state), compute_uv=False)
+    return _orbit_dimension(state, _generator_block(state.sector, state.to_tensor()), rel_tol)
+
+
+def _orbit_dimension(state: PureState, block: _GeneratorBlock, rel_tol: float = 1e-10) -> int:
+    """``orbit_dimension`` of a unit state from its ``_generator_block``."""
+    s = np.linalg.svd(block.orbit_columns(state.amplitudes), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     # The real span of {cols, i*cols} has twice the complex rank.
@@ -269,15 +274,15 @@ def group_dimension(sector: Sector) -> int:
 
 def stability_class(state: PureState, config: FlowConfig | None = None) -> Stability:
     """Null cone / semistable / stable, via flow distance and orbit dimension."""
-    terminal, _ = flow_to_critical(state, config)
-    return _stability_from(momentum(terminal).norm_sq(), state)
+    terminal, trace = flow_to_critical(state, config)
+    return _stability_from(momentum(terminal).norm_sq(), state, trace._blocks[0])
 
 
-def _stability_from(lam: float, state: PureState) -> Stability:
-    """Stability of ``state`` whose flow ends at level ``lam``."""
+def _stability_from(lam: float, state: PureState, block: _GeneratorBlock) -> Stability:
+    """Stability of ``state``, whose ``_generator_block`` is ``block``, at flow level ``lam``."""
     if not _on_zero_level(lam):
         return Stability.NULLCONE
-    if orbit_dimension(state) == group_dimension(state.sector):
+    if _orbit_dimension(normalize(state), block) == group_dimension(state.sector):
         return Stability.STABLE
     return Stability.SEMISTABLE
 
@@ -299,6 +304,8 @@ def classify_with_trace(
 ) -> tuple[CriticalRecord, FlowTrace]:
     state = normalize(state)
     terminal, trace = flow_to_critical(state, config)
+    # The flow's input and terminal blocks give the stability test and the Morse frame.
+    first, last = trace._blocks
     # One momentum image gives the level, the variance (``Var + ||mu||^2`` is
     # constant on the sector), the stratum and the zero-level test.
     point = momentum(terminal)
@@ -306,7 +313,7 @@ def classify_with_trace(
     d = math.sqrt(max(lam, 0.0))
     # One compressed spectrum gives the reported spectrum and the index; the
     # zero level builds no frame.
-    hess = _critical_spectrum(terminal, point, morse_tol)
+    hess = _critical_spectrum(terminal, point, last, morse_tol)
     record = CriticalRecord(
         state=terminal,
         lambda_value=lam,
@@ -314,7 +321,7 @@ def classify_with_trace(
         variance=casimir_constant(terminal.sector) - lam,
         stratum=_snapped_spectra(point),
         morse_index=index_from_spectrum(hess),
-        stability=_stability_from(lam, state),
+        stability=_stability_from(lam, state, first),
         hessian_spectrum=tuple(float(x) for x in hess),
     )
     return record, trace

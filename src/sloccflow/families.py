@@ -21,7 +21,7 @@ from .critical import (
     self_consistent_critical,
 )
 from .flow import FlowConfig, _on_zero_level, flow_to_critical
-from .momentum import SpectrumPoint, _ordered_spectra, momentum
+from .momentum import SpectrumPoint, _generator_block, _ordered_spectra, momentum
 from .morse import _critical_spectrum, index_from_spectrum
 from .statespace import (
     PureState,
@@ -61,9 +61,10 @@ def _record(
 ) -> FamilyRecord:
     """Record of a critical state; ``stratum`` overrides the ordered spectra."""
     state = normalize(state)
-    # One momentum image gives the level, the stratum and the index.
+    # One momentum image and one column block give the level, the stratum and the index.
     point = momentum(state)
-    hess = _critical_spectrum(state, point, index_tol)
+    block = _generator_block(state.sector, state.to_tensor())
+    hess = _critical_spectrum(state, point, block, index_tol)
     return FamilyRecord(
         label=label,
         state=state,

@@ -15,9 +15,11 @@ orbit, where the gradient decays polynomially in flow time -- when
 inside the zero-stratum labeling threshold, so both exits agree on the
 classification; the exit reason is recorded on the trace.
 
-Moves: each one is a damped Gauss-Newton move on the Kempf-Ness function,
-clipped to ``TRUST_RADIUS``, and a level certificate closes a nonzero level
-on its plateau (``flow_to_critical``).
+Moves: each state the flow stands on gets one ``momentum._generator_block``:
+its gradient decides the exit, its ``m`` and Gram give a damped Gauss-Newton
+move on the Kempf-Ness function, clipped to ``TRUST_RADIUS``, and the trace
+keeps the input's and the terminal's for ``classify``.  A level certificate
+closes a nonzero level on its plateau (``flow_to_critical``).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import Divergent, NotConverged, ShapeMismatch, ZeroState
 from .momentum import (
     MomentumPoint,
     SpectrumPoint,
-    _frame_gram,
+    _generator_block,
     _level_certificate,
     _norm_sq,
     _ordered_spectra,
@@ -46,7 +48,6 @@ from .statespace import (
     Sector,
     _axis_views,
     _embed,
-    _gathered_one_body,
     _local_product,
     _project,
     apply_local,
@@ -105,6 +106,7 @@ class FlowTrace:
     stopped_on: str | None = None
     best_grad_norm: float = math.inf
     mu2_at_best_grad: float = math.inf
+    _blocks: tuple | None = field(init=False, default=None, repr=False, compare=False)
 
     def to_json_lines(self) -> str:
         lines = [
@@ -128,15 +130,6 @@ def _expm_traceless_hermitian(mats: np.ndarray, scale: float) -> np.ndarray:
     return (vecs * np.exp(scale * vals)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
 
 
-def _gradient(
-    sector: Sector, mats: np.ndarray, views: np.ndarray, amps: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Projected coadjoint image and its Rayleigh value, from the state's axis views."""
-    image = sector.copies * _project(sector, _gathered_one_body(sector, mats, views))
-    lam = float(np.vdot(amps, image).real)
-    return image - lam * amps, lam
-
-
 def _advance(sector: Sector, mats: np.ndarray, tensor: np.ndarray, scale: float) -> np.ndarray:
     """Apply ``exp(scale * m)`` for each acting factor's ``m`` and renormalize."""
     factors = _expm_traceless_hermitian(mats, scale)
@@ -144,30 +137,28 @@ def _advance(sector: Sector, mats: np.ndarray, tensor: np.ndarray, scale: float)
     return flat / math.sqrt(np.vdot(flat, flat).real)
 
 
-def _at(sector: Sector, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tensor, axis views and shifted densities of unit amplitudes."""
+def _at(sector: Sector, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor and shifted densities of unit amplitudes."""
     tensor = _embed(sector, amps)
-    views = _axis_views(sector, tensor)
-    return tensor, views, _shifted_densities(views)
+    return tensor, _shifted_densities(_axis_views(sector, tensor))
 
 
 def flow_step(state: PureState, step: float) -> PureState:
     """One exact exponential step down the momentum-norm gradient."""
-    tensor, _, mats = _at(state.sector, normalize(state).amplitudes)
+    tensor, mats = _at(state.sector, normalize(state).amplitudes)
     scale = -step * state.sector.copies
     return PureState(state.sector, _advance(state.sector, mats, tensor, scale))
 
 
 def projected_gradient(state: PureState) -> tuple[np.ndarray, float]:
-    """Gradient vector ``P(mu* v)`` at the normalized state and ``<v|mu* v>``."""
-    amps = normalize(state).amplitudes
-    _, views, mats = _at(state.sector, amps)
-    return _gradient(state.sector, mats, views, amps)
+    """Gradient vector ``P(mu* v) - <v|mu* v> v`` at the normalized state and ``<v|mu* v>``."""
+    block = _generator_block(state.sector, normalize(state).to_tensor())
+    return block.gradient, block.lam
 
 
 def gradient_norm(state: PureState) -> float:
     """Norm of the projected momentum-operator direction; zero iff critical."""
-    return float(np.linalg.norm(projected_gradient(state)[0]))
+    return _generator_block(state.sector, normalize(state).to_tensor()).grad_norm
 
 
 # Gradient, relative to ``sqrt(mu2)``, below which a flow tries the level certificate.
@@ -179,7 +170,7 @@ TRUST_RADIUS = 4.0
 def _gauss_newton(sector: Sector, m: np.ndarray, gram: np.ndarray, lam: float) -> np.ndarray:
     """``sum_i xi[a, i] frame_i`` per acting factor for the damped, clipped move ``xi``.
 
-    ``J = 2 (gram - m m^T)``, from ``_frame_gram``, is the derivative of the momentum
+    ``J = 2 (gram - m m^T)``, from ``_generator_block``, is the derivative of the momentum
     coordinates ``m`` along ``v -> exp(sum_i xi_i X_i) v / ||.||``: the Kempf-Ness Hessian.
     """
     J = 2.0 * (gram - np.outer(m, m))
@@ -222,18 +213,16 @@ def flow_to_critical(
     config = config or FlowConfig()
     sector = state.sector
     amps = normalize(state).amplitudes
-    tensor, views, mats = _at(sector, amps)
+    tensor, mats = _at(sector, amps)
+    # One column block per state the flow stands on; a rejected trial leaves it as it was.
+    block = first = _generator_block(sector, tensor)
     trace = FlowTrace()
     lam = 1e-2
     mu2 = _norm_sq(sector, mats)
     certified = False
     iteration = 0
-    # A rejected move leaves the state, hence its gradient and columns, as it was.
-    grad_norm = frame_gram = None
     while True:
-        if grad_norm is None:
-            grad, _ = _gradient(sector, mats, views, amps)
-            grad_norm = math.sqrt(np.vdot(grad, grad).real)
+        grad_norm = block.grad_norm
         if grad_norm < trace.best_grad_norm:
             trace.best_grad_norm = grad_norm
             trace.mu2_at_best_grad = mu2
@@ -242,13 +231,13 @@ def flow_to_critical(
                 and config.tolerance < grad_norm < CERTIFY_RATIO * math.sqrt(mu2)
                 and mu2 > SEMISTABLE_EXIT_MU2
             ):
-                block = _level_certificate(sector, tensor, mats, mu2)
-                if block is not None:
+                certificate = _level_certificate(sector, tensor, mats, mu2)
+                if certificate is not None:
                     certified = True
-                    amps = block
-                    tensor, views, mats = _at(sector, amps)
+                    amps = certificate
+                    tensor, mats = _at(sector, amps)
                     mu2 = _norm_sq(sector, mats)
-                    grad_norm = frame_gram = None
+                    block = _generator_block(sector, tensor)
                     continue
         stopped = None
         if grad_norm <= config.tolerance:
@@ -265,20 +254,18 @@ def flow_to_critical(
             trace.terminal = PureState(sector, amps)
             trace.converged = True
             trace.stopped_on = stopped
+            trace._blocks = (first, block)
             return trace.terminal, trace
         if iteration >= config.max_iterations:
             break
-        if frame_gram is None:
-            frame_gram = _frame_gram(sector, tensor)
-        trial = _advance(sector, _gauss_newton(sector, *frame_gram, lam), tensor, 1.0)
-        trial_tensor, trial_views, trial_mats = _at(sector, trial)
+        trial = _advance(sector, _gauss_newton(sector, block.m, block.gram, lam), tensor, 1.0)
+        trial_tensor, trial_mats = _at(sector, trial)
         trial_mu2 = _norm_sq(sector, trial_mats)
         # Accept non-increase within rounding noise: true decreases near a
         # nonzero critical value fall below float resolution of mu2 itself.
         if np.isfinite(trial_mu2) and trial_mu2 - mu2 <= 1e-13 * max(1.0, mu2):
-            amps, tensor, views, mats = trial, trial_tensor, trial_views, trial_mats
-            mu2 = trial_mu2
-            grad_norm = frame_gram = None
+            amps, tensor, mats, mu2 = trial, trial_tensor, trial_mats, trial_mu2
+            block = _generator_block(sector, tensor)
             lam = max(lam / 3.0, 1e-12)
         else:
             lam *= 4.0

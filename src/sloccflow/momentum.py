@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -456,32 +457,52 @@ def represented_generators(sector: Sector) -> np.ndarray:
     single diagonal action for identical ones.
     """
     K, dim = sector.local_dim**2 - 1, sector.dim
-    cols = _generator_columns(sector, np.eye(dim, dtype=complex))
+    cols = _generator_columns(sector, _embed(sector, np.eye(dim, dtype=complex)))
     return _frozen(cols.transpose(2, 0, 1).reshape(sector.acting, K, dim, dim))
 
 
-def _generator_columns(sector: Sector, x: np.ndarray) -> np.ndarray:
-    """``X x`` for every represented frame generator ``X``, one column each.
+def _generator_columns(sector: Sector, tensor: np.ndarray) -> np.ndarray:
+    """``X x`` in sector amplitudes for every represented frame generator ``X``, on a tensor ``x``.
 
     Columns follow ``represented_generators``: each acting factor's generators
     in turn, after any trailing batch axes of ``x``.
     """
     frame = gell_mann_frame(sector.local_dim)
-    return _project(sector, _factor_images(sector, frame, _embed(sector, x)))
+    return _project(sector, _factor_images(sector, frame, tensor))
 
 
-def _frame_gram(sector: Sector, tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``Re(v^H C)`` and ``Re(C^H C)`` for the frame columns ``C = [X_i v]`` on a tensor ``v``.
+class _GeneratorBlock(NamedTuple):
+    """The generator columns of a state and what the flow, stability and Morse read off them."""
 
-    Identical-particle images are right after the projection
-    (``statespace._axis_views``), so for them both are formed on the
-    projected ``dim x K`` columns.
+    columns: np.ndarray
+    m: np.ndarray
+    gram: np.ndarray
+    gradient: np.ndarray
+    lam: float
+    grad_norm: float
+
+    def orbit_columns(self, v: np.ndarray) -> np.ndarray:
+        """The columns projected off the unit ``v``; their complex span is the orbit tangent."""
+        return self.columns - np.outer(v, v.conj() @ self.columns)
+
+
+def _generator_block(sector: Sector, tensor: np.ndarray) -> _GeneratorBlock:
+    """The columns ``C = [X_i v]`` on a unit state's tensor ``v`` and what is read off them.
+
+    ``C`` holds the projected images (right after ``_project`` for identical
+    particles), ordered as ``represented_generators``; ``m = Re(v^H C)`` are
+    the momentum coordinates over the frame and ``Re(C^H C)`` their Gram.
+    ``C m = mu* v``, so the gradient is the vector ``C m - lam v`` with ``lam =
+    Re <v, C m>``, never ``m^T gram m - |m|^4``, which cancels long before 1e-9.
     """
-    cols = _factor_images(sector, gell_mann_frame(sector.local_dim), tensor)
-    if sector.identical:
-        tensor, cols = _project(sector, tensor), _project(sector, cols)
-    cols = cols.reshape(tensor.size, -1)
-    return (tensor.reshape(-1).conj() @ cols).real, (cols.conj().T @ cols).real
+    cols = _generator_columns(sector, tensor).reshape(sector.dim, -1)
+    v = _project(sector, tensor).reshape(-1)
+    m = (v.conj() @ cols).real
+    image = cols @ m
+    lam = float(np.vdot(v, image).real)
+    grad = image - lam * v
+    gram = (cols.conj().T @ cols).real
+    return _GeneratorBlock(cols, m, gram, grad, lam, math.sqrt(np.vdot(grad, grad).real))
 
 
 def _frame_moments(state: PureState) -> tuple[float, float]:
@@ -494,8 +515,8 @@ def _frame_moments(state: PureState) -> tuple[float, float]:
     norm_sq = float(np.vdot(v, v).real)
     if norm_sq <= 0.0:
         raise ShapeMismatch("cannot reduce a zero state")
-    means, gram = _frame_gram(state.sector, state.to_tensor())
-    return float(np.trace(gram)) / norm_sq, float(means @ means) / norm_sq**2
+    block = _generator_block(state.sector, state.to_tensor())
+    return float(np.trace(block.gram)) / norm_sq, float(block.m @ block.m) / norm_sq**2
 
 
 def total_variance(state: PureState) -> float:

@@ -27,10 +27,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotCritical
-from .flow import _on_zero_level, gradient_norm
+from .flow import _on_zero_level
 from .momentum import (
     MomentumPoint,
-    _generator_columns,
+    _generator_block,
+    _GeneratorBlock,
     _one_body_diagonal,
     momentum,
     mu_star_matrix,
@@ -48,19 +49,6 @@ NULL_BAND = 1e-6
 # the band the index reads.
 SPLIT_TOL = 0.5 * NULL_BAND
 DEFAULT_FD_STEP = 1e-4
-
-
-def orbit_action_columns(state: PureState) -> np.ndarray:
-    """Projected tangent vectors of the local-operations orbit, as columns.
-
-    Columns are ``P(xi v)`` for the Hermitian generator frame of every party;
-    the complex column span is the full orbit tangent because the acting
-    algebra is closed under multiplication by ``i``.
-    """
-    v = state.amplitudes
-    cols = _generator_columns(state.sector, v)
-    # Remove each column's component along the unit vector ``v``.
-    return cols - np.outer(v, v.conj() @ cols)
 
 
 @dataclass(frozen=True)
@@ -110,7 +98,12 @@ class TangentFrame:
 def orbit_tangent_frame(state: PureState, rel_tol: float = FRAME_REL_TOL) -> TangentFrame:
     """Split the tangent space at ``state`` into orbit and complement frames."""
     state = normalize(state)
-    U, s, _ = np.linalg.svd(orbit_action_columns(state), full_matrices=False)
+    return _tangent_frame(state, _generator_block(state.sector, state.to_tensor()), rel_tol)
+
+
+def _tangent_frame(state: PureState, block: _GeneratorBlock, rel_tol: float) -> TangentFrame:
+    """``orbit_tangent_frame`` of a unit state from its ``_generator_block``."""
+    U, s, _ = np.linalg.svd(block.orbit_columns(state.amplitudes), full_matrices=False)
     rank = int(np.sum(s > (s[0] if s.size and s[0] > 0 else 1.0) * rel_tol))
     # Orthonormal columns, all orthogonal to ``v``: the columns were projected
     # off it, so there are at most ``dim - 1`` of them.
@@ -129,7 +122,8 @@ def morse_index(
     value, with a ``null_band`` guard for numerically flat directions.
     """
     state = normalize(state)
-    return index_from_spectrum(_critical_spectrum(state, momentum(state), tol), null_band)
+    block = _generator_block(state.sector, state.to_tensor())
+    return index_from_spectrum(_critical_spectrum(state, momentum(state), block, tol), null_band)
 
 
 def index_from_spectrum(hess: np.ndarray, null_band: float = NULL_BAND) -> int:
@@ -138,21 +132,20 @@ def index_from_spectrum(hess: np.ndarray, null_band: float = NULL_BAND) -> int:
 
 
 def _critical_spectrum(
-    state: PureState, point: MomentumPoint, tol: float = 1e-8
+    state: PureState, point: MomentumPoint, block: _GeneratorBlock, tol: float = 1e-8
 ) -> np.ndarray:
-    """Compressed spectrum of a unit state whose momentum image is ``point``.
+    """Compressed spectrum of a unit state with momentum image ``point`` and ``block``.
 
     On the zero level the index is zero: the spectrum is empty and no frame
     is built, and residual gradients of semistable terminals do not count
-    against criticality.  Above it, raises ``NotCritical`` when the gradient
-    norm exceeds ``tol``.
+    against criticality.  Above it, raises ``NotCritical`` when the block's
+    gradient norm exceeds ``tol``.
     """
     if _on_zero_level(point.norm_sq()):
         return np.zeros(0)
-    grad = gradient_norm(state)
-    if grad > tol:
-        raise NotCritical(f"gradient norm {grad:.3e} exceeds tolerance {tol:.1e}")
-    return _complement_spectrum(state, point)
+    if block.grad_norm > tol:
+        raise NotCritical(f"gradient norm {block.grad_norm:.3e} exceeds tolerance {tol:.1e}")
+    return _complement_spectrum(state, point, block)
 
 
 def complement_hessian_spectrum(state: PureState) -> np.ndarray:
@@ -163,11 +156,14 @@ def complement_hessian_spectrum(state: PureState) -> np.ndarray:
     momentum image, which the spectral split detects (see ``SPLIT_TOL``).
     """
     state = normalize(state)
-    return _complement_spectrum(state, momentum(state))
+    block = _generator_block(state.sector, state.to_tensor())
+    return _complement_spectrum(state, momentum(state), block)
 
 
-def _complement_spectrum(state: PureState, point: MomentumPoint) -> np.ndarray:
-    """``complement_hessian_spectrum`` of a state whose momentum image is ``point``.
+def _complement_spectrum(
+    state: PureState, point: MomentumPoint, block: _GeneratorBlock
+) -> np.ndarray:
+    """``complement_hessian_spectrum`` of a unit state with momentum image ``point`` and ``block``.
 
     The span ``T`` of ``v`` and the orbit directions is invariant under the
     frozen momentum operator ``M``, so the complement spectrum is ``spec(M)``
@@ -175,7 +171,7 @@ def _complement_spectrum(state: PureState, point: MomentumPoint) -> np.ndarray:
     local eigenbases, where ``M`` is the diagonal ``spectrum``.
     """
     sector = point.sector
-    frame = orbit_tangent_frame(state)
+    frame = _tangent_frame(state, block, FRAME_REL_TOL)
     Q = _embed(sector, np.column_stack([frame.base.amplitudes, frame.orbit_complex]))
     values, vectors = np.linalg.eigh(point.coadjoint_matrices())
     spectrum = _one_body_diagonal(sector, values)
@@ -224,10 +220,10 @@ def hessian_fd_oracle(
     Returns the symmetric real matrix (empty when the complement is empty).
     """
     state = normalize(state)
-    grad = gradient_norm(state)
-    if grad > 1e-6:
-        raise NotCritical(f"gradient norm {grad:.3e}; oracle needs a critical state")
-    frame = frame or orbit_tangent_frame(state)
+    block = _generator_block(state.sector, state.to_tensor())
+    if block.grad_norm > 1e-6:
+        raise NotCritical(f"gradient norm {block.grad_norm:.3e}; oracle needs a critical state")
+    frame = frame or _tangent_frame(state, block, FRAME_REL_TOL)
     directions = frame.complement_basis
     m = len(directions)
     if m == 0:

@@ -16,10 +16,10 @@ sector basis, so inner products are plain vector dot products in every sector.
 Identical particles act through one axis.  For a sector state ``v`` and the
 projection ``Pi = V^T`` of the embedding isometry, ``Pi (M on axis p) v`` is
 the same for every copy ``p``, so ``Pi dGamma(M) v = copies Pi (M x 1 x .. x
-1) v``: the one-body images, densities and generator columns of a bosonic or
-fermionic state read its axis-0 matricization, a reshape, and are right
-after ``_project``.  The all-axes gather serves distinguishable parties, and
-the group action ``_local_product`` still acts on every axis.
+1) v``: the one-body images (``_one_body``), densities and generator columns
+(``_factor_images``) of a bosonic or fermionic state read its axis-0
+matricization, a reshape, and are right after ``_project``.  The all-axes
+gather serves distinguishable parties; ``_local_product`` acts on every axis.
 """
 
 from __future__ import annotations
@@ -347,21 +347,6 @@ def _axis_views(sector: Sector, tensor: np.ndarray) -> np.ndarray:
     return tensor.reshape((-1,) + batch)[maps]
 
 
-def _gathered_one_body(sector: Sector, mats: np.ndarray, views: np.ndarray) -> np.ndarray:
-    """``_one_body`` on a state's ``_axis_views``.
-
-    Distinguishable images fold back through the inverse map and sum over the
-    axes; an identical factor's axis-0 image, batch and all, counts ``copies``
-    times and is right after ``_project``.
-    """
-    L, N = sector.parties, sector.local_dim
-    if sector.identical:
-        image = (sector.copies * mats[0]) @ views.reshape(N, -1)
-        return image.reshape((N,) * L + views.shape[3:])
-    _, inverse = _axis_maps(L, N)
-    return (mats @ views).reshape(-1)[inverse].sum(axis=0).reshape((N,) * L)
-
-
 def _axis_matrices(sector: Sector, mats: list[np.ndarray]) -> np.ndarray:
     """One validated complex ``N x N`` matrix per acting factor, stacked."""
     N = sector.local_dim
@@ -392,17 +377,20 @@ def _local_product(sector: Sector, mats: np.ndarray, tensor: np.ndarray) -> np.n
 def _one_body(sector: Sector, mats: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     """The algebra action ``sum_p I x..x M_p x..x I``, one matrix per acting factor.
 
-    For identical particles the result is right after ``_project`` and takes
-    a trailing batch in one GEMM on the axis-0 view.
-    Distinguishable parties take each column of a batch through the all-axes
-    gather in turn, which never holds every axis's copy of the whole block at once.
+    Identical particles: ``copies`` times the axis-0 image, right after
+    ``_project``, in one GEMM with any batch.  Distinguishable parties: each
+    batch column in turn through the all-axes gather and the inverse map.
     """
+    L, N = sector.parties, sector.local_dim
     if sector.identical:
-        return _gathered_one_body(sector, mats, _axis_views(sector, tensor))
-    columns = tensor.reshape(tensor.shape[: sector.parties] + (-1,))
+        image = (sector.copies * mats[0]) @ _axis_views(sector, tensor).reshape(N, -1)
+        return image.reshape(tensor.shape)
+    _, inverse = _axis_maps(L, N)
+    columns = tensor.reshape(tensor.shape[:L] + (-1,))
     out = np.empty_like(columns)
     for j in range(columns.shape[-1]):
-        out[..., j] = _gathered_one_body(sector, mats, _axis_views(sector, columns[..., j]))
+        views = _axis_views(sector, columns[..., j])
+        out[..., j] = (mats @ views).reshape(-1)[inverse].sum(axis=0).reshape((N,) * L)
     return out.reshape(tensor.shape)
 
 

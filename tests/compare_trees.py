@@ -409,7 +409,12 @@ LAYER_SECTORS = (
     ("fermionic", 2, 6), ("fermionic", 2, 8), ("bosonic", 2, 4), ("bosonic", 5, 3),
     ("distinguishable", 3, 2), ("distinguishable", 4, 3), ("distinguishable", 10, 2),
 )
-LAYERS = ("_at", "_gradient", "_frame_gram", "_gauss_newton", "_advance", "_level_certificate")
+# A tree times the layers it has: the per-state gradient and Gram of older
+# trees (``_gradient``, ``_frame_gram``) or the one column block of newer ones.
+LAYERS = (
+    "_at", "_gradient", "_frame_gram", "_generator_block",
+    "_gauss_newton", "_advance", "_level_certificate",
+)
 SAMPLE_S = 0.02
 
 
@@ -430,7 +435,7 @@ def _call_us(call) -> float:
 
 
 def collect_layers() -> dict:
-    """Median microseconds per call of every layer on every sector of ``LAYER_SECTORS``."""
+    """Median microseconds per call of each layer a tree has, on each sector of ``LAYER_SECTORS``."""
     import numpy as np
 
     from sloccflow import flow, statespace
@@ -442,19 +447,27 @@ def collect_layers() -> dict:
     for kind, parties, local_dim in LAYER_SECTORS:
         sector = statespace.Sector(kind, parties, local_dim)
         amps = statespace.random_state(sector, np.random.default_rng(0)).amplitudes
-        tensor, views, mats = flow._at(sector, amps)
+        # ``_at`` returns the tensor, the axis views where a tree reads them, and the densities.
+        at = flow._at(sector, amps)
+        tensor, mats = at[0], at[-1]
         mu2 = momentum._norm_sq(sector, mats)
-        m, gram = momentum._frame_gram(sector, tensor)
-        move = flow._gauss_newton(sector, m, gram, 1e-2)
         calls = {
             "_at": lambda: flow._at(sector, amps),
-            "_gradient": lambda: flow._gradient(sector, mats, views, amps),
-            "_frame_gram": lambda: momentum._frame_gram(sector, tensor),
-            "_gauss_newton": lambda: flow._gauss_newton(sector, m, gram, 1e-2),
             "_advance": lambda: flow._advance(sector, move, tensor, 1.0),
             "_level_certificate": lambda: momentum._level_certificate(sector, tensor, mats, mu2),
+            "_gauss_newton": lambda: flow._gauss_newton(sector, m, gram, 1e-2),
         }
-        out[str(sector)] = {name: _call_us(calls[name]) for name in LAYERS}
+        if hasattr(momentum, "_generator_block"):
+            block = momentum._generator_block(sector, tensor)
+            m, gram = block.m, block.gram
+            calls["_generator_block"] = lambda: momentum._generator_block(sector, tensor)
+        else:
+            m, gram = momentum._frame_gram(sector, tensor)
+            views = at[1]
+            calls["_gradient"] = lambda: flow._gradient(sector, mats, views, amps)
+            calls["_frame_gram"] = lambda: momentum._frame_gram(sector, tensor)
+        move = flow._gauss_newton(sector, m, gram, 1e-2)
+        out[str(sector)] = {name: _call_us(calls[name]) for name in LAYERS if name in calls}
     return out
 
 
@@ -463,14 +476,22 @@ def layers(args) -> int:
 
     A round's figure is the median of three samples of enough calls to fill
     ``SAMPLE_S``; the table shows the median over rounds of each tree and
-    their ratio.  Always exits 0.
+    their ratio, and ``-`` for a layer a tree does not have.  Always exits 0.
     """
     runs = collect_both(args, rounds=args.rounds)
     print(f"{'sector':<28} {'layer':<20} {'before us':>10} {'after us':>10} {'ratio':>7}")
     for sector in runs[0][0]:
         for name in LAYERS:
-            a, b = (statistics.median([run[sector][name] for run in side]) for side in runs)
-            print(f"{sector:<28} {name:<20} {a:>10.1f} {b:>10.1f} {b / a:>7.2f}")
+            a, b = (
+                statistics.median([run[sector][name] for run in side])
+                if name in side[0][sector] else None
+                for side in runs
+            )
+            if a is None and b is None:
+                continue
+            cells = [f"{x:>10.1f}" if x is not None else f"{'-':>10}" for x in (a, b)]
+            ratio = f"{b / a:>7.2f}" if a is not None and b is not None else f"{'-':>7}"
+            print(f"{sector:<28} {name:<20} {cells[0]} {cells[1]} {ratio}")
     return 0
 
 

@@ -1,6 +1,10 @@
+import importlib
+import sys
+
 import numpy as np
 import pytest
 
+from sloccflow import flow
 from sloccflow.statespace import PureState, distinguishable, normalize
 
 
@@ -58,3 +62,57 @@ def bell():
 def b1_3():
     # |000> + |011> over sqrt(2): party 1 pure, parties 2-3 maximally mixed.
     return qubits([1, 0, 0, 1, 0, 0, 0, 0], 3)
+
+
+class FlowStates:
+    """The states a flow stands on and the generator-column blocks built, by tensor.
+
+    Wraps ``flow._at`` (the input, a certified block and every trial),
+    ``flow._advance`` and ``flow._level_certificate`` (the states a move or a
+    certificate starts from), and ``_generator_block`` in every ``sloccflow``
+    module that binds it.
+    """
+
+    def __init__(self, monkeypatch):
+        self.at, self.starts, self.blocks = [], [], []
+        # ``sloccflow.momentum`` is the function; the module is looked up by name.
+        build = importlib.import_module("sloccflow.momentum")._generator_block
+        at, advance, certificate = flow._at, flow._advance, flow._level_certificate
+
+        def recording_at(sector, amps):
+            out = at(sector, amps)
+            self.at.append((amps, out[0]))
+            return out
+
+        def recording_advance(sector, mats, tensor, scale):
+            self.starts.append(tensor)
+            return advance(sector, mats, tensor, scale)
+
+        def recording_certificate(sector, tensor, mats, mu2):
+            self.starts.append(tensor)
+            return certificate(sector, tensor, mats, mu2)
+
+        def recording_block(sector, tensor):
+            self.blocks.append(tensor)
+            return build(sector, tensor)
+
+        monkeypatch.setattr(flow, "_at", recording_at)
+        monkeypatch.setattr(flow, "_advance", recording_advance)
+        monkeypatch.setattr(flow, "_level_certificate", recording_certificate)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("sloccflow") and getattr(module, "_generator_block", None) is build:
+                monkeypatch.setattr(module, "_generator_block", recording_block)
+
+    def stood_on(self, terminal: PureState) -> set[int]:
+        """Ids of the tensors of the states a flow ending on ``terminal`` stood on.
+
+        Every such state is the input, starts a move or a certificate, or is
+        the terminal; a rejected trial is none of these.
+        """
+        ends = [t for amps, t in self.at if np.array_equal(amps, terminal.amplitudes)]
+        return {id(t) for t in [self.at[0][1], *self.starts, ends[-1]]}
+
+    def one_block_per_state(self, terminal: PureState) -> bool:
+        """Whether the blocks built are exactly one per state the flow stood on."""
+        stood_on = self.stood_on(terminal)
+        return len(self.blocks) == len(stood_on) and {id(t) for t in self.blocks} == stood_on

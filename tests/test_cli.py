@@ -161,6 +161,22 @@ class TestClassify:
     def test_not_converged_exit(self, ghz_class_file, capsys):
         assert main(["classify", ghz_class_file, "--max-iter", "2"]) == 3
 
+    def test_loose_tolerance_terminal_is_not_critical(self, tmp_path, capsys):
+        # ``W_3`` sheared on the first party: at ``--tol 1e-3`` its flow stops
+        # with a gradient above the Morse index's 1e-6.
+        amps = np.array([0.5, 1, 1, 0, 1, 0, 0, 0]) / math.sqrt(3.25)
+        doc = {
+            "sector": "distinguishable",
+            "parties": 3,
+            "local_dim": 2,
+            "amplitudes": [[float(a), 0.0] for a in amps],
+        }
+        path = tmp_path / "sheared_w3.json"
+        path.write_text(json.dumps(doc))
+        assert main(["classify", str(path), "--tol", "1e-3"]) == 2
+        assert "exceeds tolerance 1.0e-06" in capsys.readouterr().err
+        assert main(["classify", str(path), "--tol", "1e-5"]) == 0
+
     def test_out_and_terminal_files(self, w3_file, tmp_path, capsys):
         out = tmp_path / "report.json"
         term = tmp_path / "terminal.json"

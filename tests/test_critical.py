@@ -22,14 +22,14 @@ from sloccflow.critical import (
     self_consistent_critical,
     stability_class,
 )
-from sloccflow.errors import NotConverged, NotInWeylChamber, ShapeMismatch
+from sloccflow.errors import NotConverged, NotCritical, NotInWeylChamber, ShapeMismatch
 from sloccflow.families import (
     bipartite_rank_state,
     boson_pair_state,
     fermion_pair_state,
     scan_qubit_families,
 )
-from sloccflow.flow import flow_to_critical
+from sloccflow.flow import FlowConfig, flow_to_critical
 from sloccflow.momentum import (
     SpectrumPoint,
     _one_body_diagonal,
@@ -53,7 +53,7 @@ from sloccflow.statespace import (
     random_state,
 )
 
-from conftest import haar_unitary, qubits, random_special_linear
+from conftest import FlowStates, haar_unitary, qubits, random_special_linear
 
 
 class TestIsCritical:
@@ -298,14 +298,7 @@ class TestFlowInsideBlock:
         ids=["B2", "qutrits", "bosons"],
     )
     def test_terminal_stays_in_block_with_image_alpha(self, monkeypatch, block):
-        grams = []
-        frame_gram = flow._frame_gram
-
-        def counted(*args):
-            grams.append(args)
-            return frame_gram(*args)
-
-        monkeypatch.setattr(flow, "_frame_gram", counted)
+        states = FlowStates(monkeypatch)
         report = block()
         rng = np.random.default_rng(0)
         z = rng.standard_normal(report.multiplicity) + 1j * rng.standard_normal(
@@ -316,7 +309,7 @@ class TestFlowInsideBlock:
         assert outside.any()
         assert np.all(terminal.amplitudes[outside] == 0.0)
         assert psi(terminal).allclose(report.alpha, 1e-8)
-        assert grams
+        assert states.one_block_per_state(terminal)
 
 
 def test_random_starts_in_the_b2_block_end_in_few_moves():
@@ -337,11 +330,11 @@ class TestFirstVerifiedState:
     def test_stops_at_first_verified_start(self, monkeypatch):
         calls = []
 
-        def counted(state, tol=1e-8):
+        def counted(state, config=None):
             calls.append(state)
-            return is_critical(state, tol)
+            return flow_to_critical(state, config)
 
-        monkeypatch.setattr(critical, "is_critical", counted)
+        monkeypatch.setattr(critical, "flow_to_critical", counted)
         states = self_consistent_critical(_w_block(), seed=3)
         assert len(states) == 1
         assert len(calls) == 1
@@ -360,14 +353,16 @@ class TestFirstVerifiedState:
         for skip in (0, 4):
             rejected = []
 
-            def reject_first(state, tol=1e-8):
-                ok, lam = is_critical(state, tol)
-                if ok and len(rejected) < skip:
-                    rejected.append(state)
-                    return False, lam
-                return ok, lam
+            def reject_first(state, config=None):
+                # A terminal whose gradient reads above the tolerance is no
+                # verified state.
+                terminal, trace = flow_to_critical(state, config)
+                if trace.samples[-1][2] <= 1e-8 and len(rejected) < skip:
+                    rejected.append(terminal)
+                    trace.samples[-1] = trace.samples[-1][:2] + (math.inf,)
+                return terminal, trace
 
-            monkeypatch.setattr(critical, "is_critical", reject_first)
+            monkeypatch.setattr(critical, "flow_to_critical", reject_first)
             for seed in range(6):
                 states = self_consistent_critical(report, seed=seed)
                 assert len(states) == 1 and len(rejected) == skip
@@ -441,6 +436,33 @@ class TestStability:
         assert classify(v).stability is not Stability.STABLE
 
 
+def sheared_w3():
+    """``W_3`` moved by a shear on the first party: its flow takes a few moves."""
+    w3 = qubits([0, 1, 1, 0, 1, 0, 0, 0], 3)
+    ops = [LocalOperator(0, np.array([[1.0, 0.5], [0.0, 1.0]]))]
+    ops += [LocalOperator(p, np.eye(2)) for p in (1, 2)]
+    return normalize(apply_local(ops, w3))
+
+
+class TestMorseGate:
+    """The Morse index reads the flow terminal's gradient, gated at ``morse_tol``."""
+
+    def test_loose_flow_tolerance_leaves_the_terminal_not_critical(self):
+        state = sheared_w3()
+        _, trace = flow_to_critical(state, FlowConfig(tolerance=1e-3))
+        assert 1e-6 < trace.samples[-1][2] <= 1e-3
+        with pytest.raises(
+            NotCritical, match=r"gradient norm .* exceeds tolerance 1\.0e-06"
+        ):
+            critical.classify_with_trace(state, FlowConfig(tolerance=1e-3))
+
+    def test_tighter_flow_tolerance_reads_the_w_family(self):
+        record, trace = critical.classify_with_trace(sheared_w3(), FlowConfig(tolerance=1e-5))
+        assert trace.samples[-1][2] <= 1e-5
+        assert record.morse_index == 2
+        assert record.d_value == pytest.approx(math.sqrt(1 / 6), abs=1e-9)
+
+
 class TestClassify:
     def test_w_record(self, w3):
         record = classify(w3)
@@ -475,9 +497,11 @@ class TestClassify:
         }
 
 
-    # The one column build is the terminal's tangent frame above the zero
-    # level, and on it the input's orbit dimension, which decides stable
-    # against semistable.  The variance is read off the level and builds none.
+    # The flow builds one column block per state it stands on: the input, a
+    # certified block and each accepted trial.  The input's block decides
+    # stable against semistable and the terminal's gives the Morse frame, so
+    # nothing builds columns after the flow.  The variance is read off the
+    # level and builds none.
     @pytest.mark.parametrize(
         "amps,nonzero", [([0, 2, 1, 0, 1, 0, 0, 0], True), ([2, 0, 0, 0, 0, 0, 0, 1], False)]
     )
@@ -501,9 +525,21 @@ class TestClassify:
             for name in calls:
                 if getattr(module, name, None) is originals[name]:
                     monkeypatch.setattr(module, name, counting(name))
-        record, _ = critical.classify_with_trace(qubits(amps, 3))
+        states = FlowStates(monkeypatch)
+        after_flow = []
+
+        def flagged(*args, **kwargs):
+            out = flow_to_critical(*args, **kwargs)
+            after_flow.append(len(states.blocks))
+            return out
+
+        monkeypatch.setattr(critical, "flow_to_critical", flagged)
+        record, trace = critical.classify_with_trace(qubits(amps, 3))
         assert (record.lambda_value > 0.1) is nonzero
-        assert calls == {"momentum": 1, "_generator_columns": 1}
+        # Every column build is a block's, and the blocks are the flow's.
+        assert calls == {"momentum": 1, "_generator_columns": len(states.blocks)}
+        assert states.one_block_per_state(trace.terminal)
+        assert after_flow == [len(states.blocks)]
         assert record.variance == pytest.approx(total_variance(record.state), abs=1e-12)
 
     # (state, on the zero level), each moved by a random invertible local map.

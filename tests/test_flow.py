@@ -20,11 +20,19 @@ from sloccflow.flow import (
     flow_to_critical,
     gradient_norm,
     one_param_limit,
+    projected_gradient,
     slocc_distance,
     stratum_label,
 )
 from sloccflow.critical import _stability_from
-from sloccflow.momentum import MomentumPoint, momentum, mu_norm_sq, psi
+from sloccflow.momentum import (
+    MomentumPoint,
+    _generator_block,
+    momentum,
+    mu_norm_sq,
+    mu_star_apply,
+    psi,
+)
 from sloccflow.morse import _critical_spectrum
 from sloccflow.statespace import (
     LocalOperator,
@@ -37,7 +45,11 @@ from sloccflow.statespace import (
     random_state,
 )
 
-from conftest import qubits, random_special_linear
+from conftest import FlowStates, qubits, random_special_linear
+
+
+def _block(state):
+    return _generator_block(state.sector, state.to_tensor())
 
 
 def perturbed_w(w3, g=None):
@@ -106,6 +118,26 @@ class TestGradientNorm:
         terminal, _ = flow_to_critical(v)
         if gradient_norm(terminal) <= 1e-9:
             assert flow_step(terminal, 0.05).overlap_distance(terminal) < 1e-8
+
+
+# Every sector kind, up to ``bosonic(10, 2)`` and ``distinguishable(10, 2)``.
+GRADIENT_SECTORS = [
+    distinguishable(3, 2), distinguishable(4, 3), distinguishable(10, 2),
+    bosonic(5, 3), bosonic(10, 2), fermionic(2, 6), fermionic(3, 6),
+]
+
+
+@pytest.mark.parametrize("sector", GRADIENT_SECTORS, ids=str)
+def test_projected_gradient_is_the_one_body_route(sector):
+    # The gradient ``C m - lam v`` off the generator columns against the
+    # one-body image of the momentum, ``mu* v - <v|mu* v> v``.
+    v = random_state(sector, np.random.default_rng(3))
+    image = mu_star_apply(momentum(v), v)
+    rayleigh = np.vdot(v.amplitudes, image).real
+    grad, lam = projected_gradient(v)
+    assert np.max(np.abs(grad - (image - rayleigh * v.amplitudes))) <= 1e-12
+    assert abs(lam - rayleigh) <= 1e-12
+    assert gradient_norm(v) == pytest.approx(np.linalg.norm(grad), rel=1e-12)
 
 
 class TestFlowToCritical:
@@ -276,38 +308,15 @@ def test_gauss_newton_move_stays_in_the_trust_radius():
 
 
 def test_rejected_move_costs_no_gradient(monkeypatch):
-    # Each one-body image and each column build must belong to a new state.
-    starts, trials, images, columns = [], [], [], []
-    advance, one_body, frame_gram = flow._advance, flow._gathered_one_body, flow._frame_gram
-
-    def counting_advance(sector, mats, tensor, scale):
-        starts.append(tensor)
-        trials.append(advance(sector, mats, tensor, scale))
-        return trials[-1]
-
-    def counting_one_body(sector, mats, views):
-        images.append(views)
-        return one_body(sector, mats, views)
-
-    def counting_frame_gram(sector, tensor):
-        columns.append(tensor)
-        return frame_gram(sector, tensor)
-
-    monkeypatch.setattr(flow, "_advance", counting_advance)
-    monkeypatch.setattr(flow, "_gathered_one_body", counting_one_body)
-    monkeypatch.setattr(flow, "_frame_gram", counting_frame_gram)
+    # The gradient comes with a state's column block, and each block must
+    # belong to a new state.
+    states = FlowStates(monkeypatch)
     # A strictly semistable tail: some of its first moves are rejected.
     with pytest.raises(NotConverged) as excinfo:
         flow_to_critical(CRAWLING_STATES["x2y(x-y)"](), FlowConfig(max_iterations=8))
-    # A move is accepted when the next one starts from a new tensor; the
-    # last one when its trial is the terminal.
-    terminal = excinfo.value.trace.terminal.amplitudes
-    accepted = sum(b is not a for a, b in zip(starts, starts[1:]))
-    accepted += np.array_equal(terminal, trials[-1])
-    assert len(starts) - accepted > 0
-    assert len(images) == accepted + 1
-    # One Gram per state a move starts from, and none for a state after a rejection.
-    assert len({id(t) for t in columns}) == len(columns) == len({id(t) for t in starts})
+    # A rejected trial is a state the flow computed but never stood on.
+    assert len(states.at) > len(states.stood_on(excinfo.value.trace.terminal))
+    assert states.one_block_per_state(excinfo.value.trace.terminal)
 
 
 class TestSloccDistance:
@@ -420,14 +429,14 @@ class TestZeroLevelPredicate:
     def _frames_built(monkeypatch, state, point):
         """The compressed spectrum and the number of tangent frames it built."""
         frames = []
-        original = morse.orbit_tangent_frame
+        original = morse._tangent_frame
 
         def counting(*args, **kwargs):
             frames.append(original(*args, **kwargs))
             return frames[-1]
 
-        monkeypatch.setattr(morse, "orbit_tangent_frame", counting)
-        return _critical_spectrum(state, point), len(frames)
+        monkeypatch.setattr(morse, "_tangent_frame", counting)
+        return _critical_spectrum(state, point, _block(state)), len(frames)
 
     def test_the_threshold_itself_is_on_the_zero_level(self, monkeypatch):
         point, state = self._point_and_state(math.sqrt(5e-9))
@@ -436,7 +445,7 @@ class TestZeroLevelPredicate:
         assert flow._snapped_spectra(point).is_zero(tol=0.0)
         hess, frames = self._frames_built(monkeypatch, state, point)
         assert hess.size == 0 and frames == 0
-        assert _stability_from(point.norm_sq(), state) is not Stability.NULLCONE
+        assert _stability_from(point.norm_sq(), state, _block(state)) is not Stability.NULLCONE
 
     def test_just_above_the_threshold_is_not(self, monkeypatch):
         point, state = self._point_and_state(math.sqrt(5.000001e-9))
@@ -446,4 +455,4 @@ class TestZeroLevelPredicate:
         # The nonzero branch builds a frame; one party's orbit fills the tangent.
         hess, frames = self._frames_built(monkeypatch, state, point)
         assert hess.size == 0 and frames == 1
-        assert _stability_from(point.norm_sq(), state) is Stability.NULLCONE
+        assert _stability_from(point.norm_sq(), state, _block(state)) is Stability.NULLCONE

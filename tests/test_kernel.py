@@ -12,7 +12,7 @@ from sloccflow.errors import ShapeMismatch
 from sloccflow.flow import _expm_traceless_hermitian
 from sloccflow.families import fermion_pair_state
 from sloccflow.momentum import (
-    _frame_gram,
+    _generator_block,
     _generator_columns,
     _shifted_densities,
     gell_mann_frame,
@@ -134,13 +134,13 @@ def test_stacked_exponential_matches_eigh(rng, N):
 
 def test_classify_builds_one_tangent_frame(monkeypatch, w3):
     calls = []
-    original = morse.orbit_tangent_frame
+    original = morse._tangent_frame
 
     def counting(state, *args, **kwargs):
         calls.append(state)
         return original(state, *args, **kwargs)
 
-    monkeypatch.setattr(morse, "orbit_tangent_frame", counting)
+    monkeypatch.setattr(morse, "_tangent_frame", counting)
     record, _ = classify_with_trace(w3)
     assert record.lambda_value > 0.1
     assert record.morse_index == 2
@@ -195,7 +195,7 @@ def test_generator_columns_match_einsum(rng, sector, batch):
         ],
         axis=-1,
     )
-    got = _generator_columns(sector, x)
+    got = _generator_columns(sector, t)
     assert got.shape == (sector.dim,) + batch + (want.shape[-1],)
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -217,7 +217,8 @@ def test_frame_gram_is_the_gram_of_all_axes_columns(rng, sector):
     frame = gell_mann_frame(sector.local_dim)
     cols = np.stack([_all_axes_one_body(sector, [xi], t).reshape(-1) for xi in frame], axis=1)
     want_m, want_gram = (t.reshape(-1).conj() @ cols).real, (cols.conj().T @ cols).real
-    m, gram = _frame_gram(sector, t)
+    block = _generator_block(sector, t)
+    m, gram = block.m, block.gram
     assert np.max(np.abs(m - want_m)) <= 1e-12 * np.max(np.abs(want_m))
     assert np.max(np.abs(gram - want_gram)) <= 1e-12 * np.max(np.abs(want_gram))
 

@@ -213,7 +213,7 @@ class TestNormAndVariance:
         for sector in SECTORS:
             v = random_state(sector, rng)
             gens = represented_generators(sector)
-            cols = _generator_columns(sector, v.amplitudes)
+            cols = _generator_columns(sector, v.to_tensor())
             assert cols.shape == (sector.dim, gens.shape[0] * gens.shape[1])
             var = 0.0
             for p in range(gens.shape[0]):

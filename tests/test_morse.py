@@ -267,7 +267,7 @@ class TestSplitCost:
 
     def test_classify_builds_no_complete_qr(self, monkeypatch):
         modes, frames = [], []
-        original, frame = np.linalg.qr, morse.orbit_tangent_frame
+        original, frame = np.linalg.qr, morse._tangent_frame
 
         def recording(a, mode="reduced"):
             modes.append(mode)
@@ -278,7 +278,7 @@ class TestSplitCost:
             return frame(state, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "qr", recording)
-        monkeypatch.setattr(morse, "orbit_tangent_frame", counting)
+        monkeypatch.setattr(morse, "_tangent_frame", counting)
         record = classify(_w_state(8))
         assert record.morse_index > 0
         assert frames and "complete" not in modes
