@@ -315,7 +315,7 @@ def demo_dicke(L: int, tol: float = 1e-10) -> DemoTable:
 
 
 def run_demo(name: str, args: list[str], seed: int = 0) -> list[DemoTable]:
-    """Dispatch a named demo; numeric arguments follow the name."""
+    """Dispatch a named demo; its integer arguments, and no more, follow the name."""
     def _int(position: int, minimum: int = 1, default: int | None = None) -> int:
         if position < len(args):
             try:
@@ -331,19 +331,20 @@ def run_demo(name: str, args: list[str], seed: int = 0) -> list[DemoTable]:
             raise UnknownDemo(f"demo {name!r} needs an integer argument")
         return default
 
-    if name == "bipartite":
-        return [demo_bipartite(_int(0))]
-    if name == "three-qubit":
-        return [demo_three_qubit(seed=seed)]
-    if name == "four-qubit-families":
-        return [demo_four_qubit_families()]
-    if name == "bosons":
-        return [demo_bosons(_int(0), _int(1, default=2))]
-    if name == "fermions":
-        return [demo_fermions(_int(0, minimum=2))]
-    if name == "dicke":
-        return [demo_dicke(_int(0))]
-    raise UnknownDemo(
-        f"unknown demo {name!r}; available: bipartite N, three-qubit, "
-        "four-qubit-families, bosons N [L], fermions N, dicke L"
-    )
+    demos = {  # name: (the most arguments it reads, the demo)
+        "bipartite": (1, lambda: demo_bipartite(_int(0))),
+        "three-qubit": (0, lambda: demo_three_qubit(seed=seed)),
+        "four-qubit-families": (0, demo_four_qubit_families),
+        "bosons": (2, lambda: demo_bosons(_int(0), _int(1, default=2))),
+        "fermions": (1, lambda: demo_fermions(_int(0, minimum=2))),
+        "dicke": (1, lambda: demo_dicke(_int(0))),
+    }
+    if name not in demos:
+        raise UnknownDemo(
+            f"unknown demo {name!r}; available: bipartite N, three-qubit, "
+            "four-qubit-families, bosons N [L], fermions N, dicke L"
+        )
+    arity, demo = demos[name]
+    if len(args) > arity:
+        raise UnknownDemo(f"demo {name!r} takes {arity} at most; surplus: {' '.join(args[arity:])}")
+    return [demo()]

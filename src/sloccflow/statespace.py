@@ -16,10 +16,10 @@ sector basis, so inner products are plain vector dot products in every sector.
 Identical particles act through one axis.  For a sector state ``v`` and the
 projection ``Pi = V^T`` of the embedding isometry, ``Pi (M on axis p) v`` is
 the same for every copy ``p``, so ``Pi dGamma(M) v = copies Pi (M x 1 x .. x
-1) v``: the one-body images (``_one_body``), densities and generator columns
-(``_factor_images``) of a bosonic or fermionic state read its axis-0
-matricization, a reshape, and are right after ``_project``.  The all-axes
-gather serves distinguishable parties; ``_local_product`` acts on every axis.
+1) v``.  One product, ``_factor_images``, applies one-body matrices: to the
+axis-0 matricization of a bosonic or fermionic state (a reshape; right after
+``_project``) and to the all-axes gather of a distinguishable one, folded back;
+``_one_body`` is its factor sum.  ``_local_product`` acts on every axis.
 """
 
 from __future__ import annotations
@@ -377,21 +377,9 @@ def _local_product(sector: Sector, mats: np.ndarray, tensor: np.ndarray) -> np.n
 def _one_body(sector: Sector, mats: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     """The algebra action ``sum_p I x..x M_p x..x I``, one matrix per acting factor.
 
-    Identical particles: ``copies`` times the axis-0 image, right after
-    ``_project``, in one GEMM with any batch.  Distinguishable parties: each
-    batch column in turn through the all-axes gather and the inverse map.
+    The factor sum of ``_factor_images``, batch axes and all, in one product.
     """
-    L, N = sector.parties, sector.local_dim
-    if sector.identical:
-        image = (sector.copies * mats[0]) @ _axis_views(sector, tensor).reshape(N, -1)
-        return image.reshape(tensor.shape)
-    _, inverse = _axis_maps(L, N)
-    columns = tensor.reshape(tensor.shape[:L] + (-1,))
-    out = np.empty_like(columns)
-    for j in range(columns.shape[-1]):
-        views = _axis_views(sector, columns[..., j])
-        out[..., j] = (mats @ views).reshape(-1)[inverse].sum(axis=0).reshape((N,) * L)
-    return out.reshape(tensor.shape)
+    return _factor_images(sector, np.asarray(mats)[:, None], tensor).sum(axis=-1)
 
 
 def _one_body_matrix(sector: Sector, mats: np.ndarray) -> np.ndarray:
@@ -413,24 +401,22 @@ def _one_body_matrix(sector: Sector, mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def _factor_images(sector: Sector, frame: np.ndarray, tensor: np.ndarray) -> np.ndarray:
-    """``_one_body`` of each ``frame`` matrix in one acting factor, zero in the others.
+def _factor_images(sector: Sector, mats: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """``_one_body`` of each of ``K`` matrices in one acting factor, zero in the others.
 
-    One batched product of the frame with the axis views.  An identical
-    factor's axis-0 images count ``copies`` times and are right after
-    ``_project``; distinguishable images fold back through the inverse map.
-    Shape ``(N,)*L + batch + (acting * K,)``, factor-major.
+    ``mats`` is a frame ``(K, N, N)`` shared by the acting factors or a stack
+    ``(acting, K, N, N)``; ``copies`` times it meets the stacked axis views in one
+    product.  Identical images are right after ``_project``; distinguishable ones
+    fold back through the inverse map.  Shape ``(N,)*L + batch + (acting * K,)``.
     """
-    L, N, K = sector.parties, sector.local_dim, len(frame)
+    L, N, K = sector.parties, sector.local_dim, mats.shape[-3]
+    views = _axis_views(sector, tensor).reshape(sector.acting, N, -1)
+    # ``(acting, N, N^(L-1) * batch, K)``; swaps put ``K`` last faster than ``np.moveaxis``.
+    stack = (sector.copies * mats).swapaxes(-3, -1).swapaxes(-3, -2)
+    images = np.matmul(views.swapaxes(1, 2)[:, None], stack)
     if sector.identical:
-        # ``(N, N^(L-1) * batch, K)``: every frame matrix on the axis-0 view.
-        view = _axis_views(sector, tensor).reshape(N, -1)
-        images = np.matmul(view.T, sector.copies * frame.transpose(1, 2, 0))
         return images.reshape(tensor.shape + (K,))
-    views = _axis_views(sector, tensor).reshape(L, N, -1)
     _, inverse = _axis_maps(L, N)
-    # ``(L, N, N^(L-1) * batch, K)``: every frame matrix on every view, in view order.
-    images = np.matmul(views.swapaxes(1, 2)[:, None], frame.transpose(1, 2, 0))
     folded = np.take(images.reshape(L * N**L, -1), inverse.T, axis=0)
     folded = folded.reshape((N**L, L) + tensor.shape[L:] + (K,))
     return np.moveaxis(folded, 1, -2).reshape(tensor.shape + (L * K,))
@@ -503,6 +489,8 @@ def state_from_json(document: dict | str) -> PureState:
             _header_count(document, "local_dim", 2),
         )
         pairs = document["amplitudes"]
+        if any(isinstance(part, bool) for pair in pairs for part in pair):
+            raise TypeError("an amplitude part is true or false")
         amps = np.array([complex(re, im) for re, im in pairs], dtype=complex)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ShapeMismatch(f"malformed state document: {exc}") from exc

@@ -6,6 +6,7 @@ Usage, from the root of a checkout::
     python3 tests/compare_trees.py BEFORE AFTER blocks [--seed 0]
     python3 tests/compare_trees.py BEFORE AFTER near-miss [--parties 3 4] [--draws 5]
     python3 tests/compare_trees.py BEFORE AFTER layers [--rounds 5]
+    python3 tests/compare_trees.py BEFORE AFTER demos
     python3 tests/compare_trees.py BEFORE AFTER bench [--seeds 3] [--workloads NAME ...]
 
 ``BEFORE`` and ``AFTER`` are source trees (checkouts) of this repository.
@@ -13,10 +14,10 @@ Each run is one fresh interpreter in a tree, with the tree's ``src`` (and
 ``perfbench`` for ``labels`` and ``bench``) on ``PYTHONPATH``, its root as
 working directory and one BLAS thread.  Where a mode runs more than one
 round, the trees alternate which goes first, so that a drift of the host's
-speed falls on both.  ``labels``, ``blocks``, ``near-miss`` and ``layers``
-run their collector of this file in each tree and compare the results;
-``bench`` runs each tree's ``perfbench/run.py``.  Each mode's function below
-says what it prints and when it exits 1.  A tree without
+speed falls on both.  ``labels``, ``blocks``, ``near-miss``, ``layers`` and
+``demos`` run their collector of this file in each tree and compare the
+results; ``bench`` runs each tree's ``perfbench/run.py``.  Each mode's
+function below says what it prints and when it exits 1.  A tree without
 ``src/sloccflow/__init__.py`` (or without ``perfbench/`` for ``labels`` and
 ``bench``), or a run that fails in one tree, exits 2 with the tree named.
 
@@ -37,7 +38,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, product, zip_longest
 
 PINNED_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -409,12 +410,7 @@ LAYER_SECTORS = (
     ("fermionic", 2, 6), ("fermionic", 2, 8), ("bosonic", 2, 4), ("bosonic", 5, 3),
     ("distinguishable", 3, 2), ("distinguishable", 4, 3), ("distinguishable", 10, 2),
 )
-# A tree times the layers it has: the per-state gradient and Gram of older
-# trees (``_gradient``, ``_frame_gram``) or the one column block of newer ones.
-LAYERS = (
-    "_at", "_gradient", "_frame_gram", "_generator_block",
-    "_gauss_newton", "_advance", "_level_certificate",
-)
+LAYERS = ("_at", "_generator_block", "_gauss_newton", "_advance", "_level_certificate")
 SAMPLE_S = 0.02
 
 
@@ -434,8 +430,13 @@ def _call_us(call) -> float:
     return 1e6 * statistics.median([_per_call(call, number) for _ in range(3)])
 
 
+def _spread(values: list[float]) -> str:
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return f"{statistics.median(values):.4g} (IQR {q3 - q1:.2g})"
+
+
 def collect_layers() -> dict:
-    """Median microseconds per call of each layer a tree has, on each sector of ``LAYER_SECTORS``."""
+    """Median microseconds per call of each of ``LAYERS`` on each sector of ``LAYER_SECTORS``."""
     import numpy as np
 
     from sloccflow import flow, statespace
@@ -447,27 +448,18 @@ def collect_layers() -> dict:
     for kind, parties, local_dim in LAYER_SECTORS:
         sector = statespace.Sector(kind, parties, local_dim)
         amps = statespace.random_state(sector, np.random.default_rng(0)).amplitudes
-        # ``_at`` returns the tensor, the axis views where a tree reads them, and the densities.
-        at = flow._at(sector, amps)
-        tensor, mats = at[0], at[-1]
+        tensor, mats = flow._at(sector, amps)
         mu2 = momentum._norm_sq(sector, mats)
+        block = momentum._generator_block(sector, tensor)
+        move = flow._gauss_newton(sector, block.m, block.gram, 1e-2)
         calls = {
             "_at": lambda: flow._at(sector, amps),
+            "_generator_block": lambda: momentum._generator_block(sector, tensor),
+            "_gauss_newton": lambda: flow._gauss_newton(sector, block.m, block.gram, 1e-2),
             "_advance": lambda: flow._advance(sector, move, tensor, 1.0),
             "_level_certificate": lambda: momentum._level_certificate(sector, tensor, mats, mu2),
-            "_gauss_newton": lambda: flow._gauss_newton(sector, m, gram, 1e-2),
         }
-        if hasattr(momentum, "_generator_block"):
-            block = momentum._generator_block(sector, tensor)
-            m, gram = block.m, block.gram
-            calls["_generator_block"] = lambda: momentum._generator_block(sector, tensor)
-        else:
-            m, gram = momentum._frame_gram(sector, tensor)
-            views = at[1]
-            calls["_gradient"] = lambda: flow._gradient(sector, mats, views, amps)
-            calls["_frame_gram"] = lambda: momentum._frame_gram(sector, tensor)
-        move = flow._gauss_newton(sector, m, gram, 1e-2)
-        out[str(sector)] = {name: _call_us(calls[name]) for name in LAYERS if name in calls}
+        out[str(sector)] = {name: _call_us(calls[name]) for name in LAYERS}
     return out
 
 
@@ -475,24 +467,54 @@ def layers(args) -> int:
     """Microseconds per call of each layer of ``LAYERS`` on each sector of ``LAYER_SECTORS``.
 
     A round's figure is the median of three samples of enough calls to fill
-    ``SAMPLE_S``; the table shows the median over rounds of each tree and
-    their ratio, and ``-`` for a layer a tree does not have.  Always exits 0.
+    ``SAMPLE_S``; the table shows each tree's median and IQR over rounds and
+    the ratio of the medians.  Always exits 0.
     """
     runs = collect_both(args, rounds=args.rounds)
-    print(f"{'sector':<28} {'layer':<20} {'before us':>10} {'after us':>10} {'ratio':>7}")
+    print(f"{'sector':<28} {'layer':<18} {'before us':>20} {'after us':>20} {'ratio':>6}")
     for sector in runs[0][0]:
         for name in LAYERS:
-            a, b = (
-                statistics.median([run[sector][name] for run in side])
-                if name in side[0][sector] else None
-                for side in runs
+            before, after = ([run[sector][name] for run in side] for side in runs)
+            ratio = statistics.median(after) / statistics.median(before)
+            print(
+                f"{sector:<28} {name:<18} {_spread(before):>20} {_spread(after):>20} {ratio:>6.2f}"
             )
-            if a is None and b is None:
-                continue
-            cells = [f"{x:>10.1f}" if x is not None else f"{'-':>10}" for x in (a, b)]
-            ratio = f"{b / a:>7.2f}" if a is not None and b is not None else f"{'-':>7}"
-            print(f"{sector:<28} {name:<20} {cells[0]} {cells[1]} {ratio}")
     return 0
+
+
+# (name, arguments): the demos every change to the flow or the kernel keeps.
+DEMOS = (
+    ("three-qubit", []), ("four-qubit-families", []), ("dicke", ["8"]),
+    ("bipartite", ["3"]), ("fermions", ["6"]), ("bosons", ["4"]),
+)
+
+
+def collect_demos() -> dict:
+    """The text of each demo of ``DEMOS``, as ``sloccflow demo NAME ARGS`` prints it."""
+    from sloccflow.demos import run_demo
+
+    return {
+        " ".join([name, *argv]): "\n\n".join(t.to_text() for t in run_demo(name, argv))
+        for name, argv in DEMOS
+    }
+
+
+def demos(args) -> int:
+    """The text of the demos of ``DEMOS``, line by line.
+
+    Prints each line that differs, with the demo and line number, and the
+    number of differing lines.  Exits 1 on any difference.
+    """
+    (before,), (after,) = collect_both(args)
+    changed = 0
+    for key in before:
+        pairs = zip_longest(before[key].splitlines(), after[key].splitlines(), fillvalue="")
+        for number, (a, b) in enumerate(pairs, start=1):
+            if a != b:
+                print(f"{key}, line {number}: BEFORE {a!r}, AFTER {b!r}")
+                changed += 1
+    print(f"{changed} demo differences")
+    return 1 if changed else 0
 
 
 BENCH_PAIRS = 10
@@ -544,11 +566,6 @@ def _bench_files(tree: str) -> dict:
     return contents
 
 
-def _spread(values: list[float]) -> str:
-    q1, _, q3 = statistics.quantiles(values, n=4)
-    return f"{statistics.median(values):.4g} (IQR {q3 - q1:.2g})"
-
-
 def bench(args) -> int:
     """Each tree's ``perfbench/run.py --trace 0`` in ``BENCH_PAIRS`` alternating pairs.
 
@@ -597,6 +614,7 @@ COLLECTORS = {
     "blocks": collect_blocks,
     "near-miss": collect_near_miss,
     "layers": collect_layers,
+    "demos": collect_demos,
 }
 
 
@@ -619,9 +637,10 @@ def main(argv: list[str] | None = None) -> int:
     mode = modes.add_parser("layers")
     mode.add_argument("--rounds", type=int, default=5, help="fresh interpreters per tree")
     mode.set_defaults(run=layers)
+    modes.add_parser("demos").set_defaults(run=demos)
     args = parser.parse_args(argv)
-    if args.mode == "layers" and args.rounds < 1:
-        parser.error("give at least one round")
+    if args.mode == "layers" and args.rounds < 2:
+        parser.error("give at least two rounds: the table shows their spread")
     try:
         for tree in args.trees:
             check_tree(tree, args.mode)

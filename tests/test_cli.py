@@ -139,6 +139,16 @@ class TestClassify:
             records.append(json.loads(capsys.readouterr().out)["record"])
         assert records[0] == records[1]
 
+    @pytest.mark.parametrize("pair", [[True, 0], [1, False]])
+    def test_boolean_amplitude_part_is_an_input_error(self, tmp_path, capsys, pair):
+        doc = {"sector": "distinguishable", "parties": 1, "local_dim": 2,
+               "amplitudes": [pair, [0, 1]]}
+        path = tmp_path / "boolean.json"
+        path.write_text(json.dumps(doc))
+        assert main(["classify", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "malformed state document" in err
+
     @pytest.mark.parametrize(
         "header,field",
         [
@@ -252,12 +262,19 @@ class TestDemo:
             (["bosons", "0"], ">= 1"),
             (["fermions", "0"], ">= 2"),
             (["fermions", "1"], ">= 2"),
+            # Arguments past a demo's arity name the surplus.
+            (["dicke", "4", "9"], "surplus: 9"),
+            (["bipartite", "2", "x"], "surplus: x"),
+            (["three-qubit", "7"], "surplus: 7"),
+            (["four-qubit-families", "1", "2"], "surplus: 1 2"),
+            (["bosons", "2", "2", "4"], "surplus: 4"),
+            (["fermions", "4", "2"], "surplus: 2"),
         ],
     )
     def test_demo_size_bounds(self, capsys, argv, bound):
         assert main(["demo", *argv]) == 2
         out, err = capsys.readouterr()
-        assert bound in err and "all rows pass" not in out
+        assert bound in err and out == ""
         with pytest.raises(UnknownDemo, match=bound):
             run_demo(argv[0], argv[1:])
 
@@ -266,6 +283,10 @@ class TestDemo:
             run_demo("bipartite", ["x"])
         with pytest.raises(UnknownDemo):
             run_demo("dicke", [])
+
+    def test_bosons_keeps_its_optional_second_argument(self, capsys):
+        assert main(["demo", "bosons", "3", "2"]) == 0
+        assert "all rows pass" in capsys.readouterr().out
 
 
 class TestParser:

@@ -30,6 +30,17 @@ def test_labels_on_one_tree_twice(capsys):
     assert "0 label differences" in capsys.readouterr().out
 
 
+def test_demos_on_one_tree_twice(capsys):
+    assert compare_trees.main([ROOT, ROOT, "demos"]) == 0
+    assert capsys.readouterr().out == "0 demo differences\n"
+
+
+def test_layers_needs_two_rounds_for_its_spread():
+    with pytest.raises(SystemExit) as exit_:
+        compare_trees.main([ROOT, ROOT, "layers", "--rounds", "1"])
+    assert exit_.value.code == 2
+
+
 def test_one_tree_is_a_usage_error():
     with pytest.raises(SystemExit) as exit_:
         compare_trees.main([ROOT, "near-miss"])

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from sloccflow.statespace import (
     _axis_maps,
     _axis_views,
     _embed,
+    _factor_images,
     _local_product,
     _one_body,
     _one_body_matrix,
@@ -148,26 +150,27 @@ def test_classify_builds_one_tangent_frame(monkeypatch, w3):
 
 
 @pytest.mark.parametrize("sector", ACTION_SECTORS, ids=str)
-@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
 def test_local_action_matches_einsum(rng, sector, batch):
     # One matrix per acting factor; an identical-particle factor acts on
-    # every axis.
+    # every axis.  The references read the batch axes as one.
     L, N = sector.parties, sector.local_dim
     x = _complex(rng, (N,) * L + batch)
+    flat = (N,) * L + (math.prod(batch),) * bool(batch)
     mats = [_complex(rng, (N, N)) for _ in range(sector.acting)]
     per_axis = [mats[0]] * L if sector.identical else mats
     rows, cols = LETTERS.upper()[:L], LETTERS[:L]
-    tail = "z" * len(batch)
+    tail = "z" * bool(batch)
     terms = ",".join(r + c for r, c in zip(rows, cols))
-    want = np.einsum(f"{terms},{cols}{tail}->{rows}{tail}", *per_axis, x)
+    want = np.einsum(f"{terms},{cols}{tail}->{rows}{tail}", *per_axis, x.reshape(flat))
     got = _local_product(sector, mats, x)
     assert got.shape == x.shape
-    assert np.max(np.abs(got - want)) < 1e-12
+    assert np.max(np.abs(got - want.reshape(x.shape))) < 1e-12
     if sector.identical:
         # An identical sector's one-body image is that of a sector state,
         # right after the projection.
         x = _embed(sector, _complex(rng, (sector.dim,) + batch))
-    want = _all_axes_one_body(sector, mats, x)
+    want = _all_axes_one_body(sector, mats, x.reshape(flat)).reshape(x.shape)
     got = _one_body(sector, mats, x)
     assert got.shape == x.shape
     if sector.identical:
@@ -197,6 +200,26 @@ def test_generator_columns_match_einsum(rng, sector, batch):
     )
     got = _generator_columns(sector, t)
     assert got.shape == (sector.dim,) + batch + (want.shape[-1],)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("sector", ACTION_SECTORS + WIDE_IDENTICAL, ids=str)
+@pytest.mark.parametrize("K", [1, 2])
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_factor_images_of_per_factor_stacks_match_einsum(rng, sector, K, batch):
+    # One stack ``(acting, K, N, N)``: column ``(a, k)`` is matrix ``k`` of
+    # factor ``a`` on that factor's axes and zero on the others.
+    N, factors = sector.local_dim, range(sector.acting)
+    mats = _complex(rng, (sector.acting, K, N, N))
+    t = _embed(sector, _complex(rng, (sector.dim,) + batch))
+
+    def alone(a, k):
+        return [mats[a, k] if b == a else np.zeros((N, N)) for b in factors]
+
+    columns = [_all_axes_one_body(sector, alone(a, k), t) for a in factors for k in range(K)]
+    want = np.stack([_project(sector, column) for column in columns], axis=-1)
+    got = _project(sector, _factor_images(sector, mats, t))
+    assert got.shape == (sector.dim,) + batch + (sector.acting * K,)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -297,3 +320,18 @@ def test_only_statespace_applies_matrices_to_axes():
             if "_axis_maps" in names:
                 users.add(path.name)
     assert users == {"statespace.py"}
+
+
+def test_one_gather_and_one_fold_in_statespace():
+    # Inside ``statespace`` the axis index maps have two readers: the gather
+    # of ``_axis_views`` and the fold of ``_factor_images``, which every
+    # one-body image goes through.
+    tree = ast.parse(Path(statespace.__file__).read_text())
+    callers = {
+        function.name
+        for function in tree.body
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_axis_maps"
+    }
+    assert callers == {"_axis_views", "_factor_images"}

@@ -350,6 +350,14 @@ class TestJson:
         with pytest.raises(ShapeMismatch):
             state_from_json({"sector": "distinguishable", "parties": 2})
 
+    @pytest.mark.parametrize("pair", ["[true, 0]", "[1, false]", "[false, true]"])
+    def test_boolean_amplitude_part_is_malformed(self, pair):
+        # ``complex(True, 0)`` is ``1+0j``; a JSON boolean is no amplitude part.
+        header = '"sector": "distinguishable", "parties": 1, "local_dim": 2'
+        doc = f'{{{header}, "amplitudes": [{pair}, [0, 1]]}}'
+        with pytest.raises(ShapeMismatch, match="malformed state document"):
+            state_from_json(doc)
+
     def test_identical_sector_round_trip(self, rng):
         v = random_state(fermionic(2, 4), rng)
         again = state_from_json(v.to_json())
