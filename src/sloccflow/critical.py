@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
 
 import numpy as np
 
@@ -233,14 +232,8 @@ def self_consistent_critical(
     if not _marginal_feasible(report):
         return []
     sector = report.alpha.sector
-    m = report.multiplicity
-    rng = np.random.default_rng(seed)
-    starts = [np.ones(m)] + [
-        rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        for _ in range(max(restarts - 1, 0))
-    ]
     config = FlowConfig(max_iterations=max_iterations)
-    for z0 in starts:
+    for z0 in _block_starts(report.multiplicity, restarts, seed):
         try:
             candidate, trace = flow_to_critical(PureState(sector, report.basis @ z0), config)
         except NotConverged:
@@ -249,6 +242,15 @@ def self_consistent_critical(
         if trace.samples[-1][2] <= tol and psi(candidate).allclose(report.alpha, tol):
             return [candidate]
     return []
+
+
+def _block_starts(m: int, restarts: int, seed: int):
+    """The uniform start, then ``restarts - 1`` seeded complex ones, drawn on demand."""
+    yield np.ones(m)
+    if restarts > 1:
+        rng = np.random.default_rng(seed)
+        for _ in range(restarts - 1):
+            yield rng.standard_normal(m) + 1j * rng.standard_normal(m)
 
 
 def orbit_dimension(state: PureState, rel_tol: float = 1e-10) -> int:
@@ -336,22 +338,51 @@ def qubit_weyl_grid(
     denominator at most ``max_denominator``, excluding the origin, filtered
     by the polygonal inequalities on the minimal eigenvalues.
     """
-    # Exact integer numerators over D = lcm(1..q): n / D is the grid value.
+    # One list per party, zipped: no row list is built beside its tuple.
+    return list(zip(*_weyl_grid_array(parties, max_denominator).T.tolist()))
+
+
+def _weyl_grid_array(parties: int, max_denominator: int) -> np.ndarray:
+    """``qubit_weyl_grid`` as one ``(points, parties)`` float array, in its order.
+
+    The origin and polytope tests run on exact int64 numerators over
+    ``D = lcm(1..q)``, so a grid whose ``parties * D`` does not fit int64
+    raises ``ValueError``.  Each grid value is ``n / D`` taken once in
+    Python, so every float is the tuple's.
+    """
     D = math.lcm(*range(1, max_denominator + 1))
+    if parties < 0:
+        raise ValueError(f"parties must be >= 0, got {parties}")
+    if parties * D > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"{parties} parties over lcm(1..{max_denominator}) = {D} overflow int64"
+        )
     numerators = sorted(
         {a * (D // b) for b in range(1, max_denominator + 1) for a in range(b // 2 + 1)}
     )
-    grid: list[tuple[float, ...]] = []
-    for combo in product(numerators, repeat=parties):
-        if not any(combo):
-            continue
-        # D - 2n is 2D times the minimal eigenvalue 1/2 - n/D.
-        minima = [D - 2 * n for n in combo]
-        total = sum(minima)
-        if any(m > total - m for m in minima):
-            continue
-        grid.append(tuple(n / D for n in combo))
-    return grid
+    # D - 2n is 2D times the minimal eigenvalue 1/2 - n/D.
+    minima = np.meshgrid(
+        *[D - 2 * np.array(numerators, dtype=np.int64)] * parties,
+        indexing="ij",
+        sparse=True,
+    )
+    # Polygonal inequalities: no minimum exceeds the others' sum, that is
+    # 2 max <= total, or max <= total // 2 in integers.
+    half = sum(minima, np.int64(0)) // 2
+    keep = np.ones(half.shape, dtype=bool)
+    for m in minima:
+        keep &= m <= half
+    del half
+    # Numerator 0 sorts first, so the origin is the product's first point.
+    keep.flat[0] = False
+    values = np.array([n / D for n in numerators])
+    # Flat product indices in base len(values), last party fastest.
+    flat = np.flatnonzero(keep)
+    rows = np.empty((flat.size, parties))
+    for p in reversed(range(parties)):
+        flat, digit = np.divmod(flat, len(values))
+        rows[:, p] = values[digit]
+    return rows
 
 
 def qubit_spectrum_point(sector: Sector, lambdas: tuple[float, ...]) -> SpectrumPoint:

@@ -342,7 +342,7 @@ def run_demo(name: str, args: list[str], seed: int = 0) -> list[DemoTable]:
     if name not in demos:
         raise UnknownDemo(
             f"unknown demo {name!r}; available: bipartite N, three-qubit, "
-            "four-qubit-families, bosons N [L], fermions N, dicke L"
+            "four-qubit-families, bosons N [2], fermions N, dicke L"
         )
     arity, demo = demos[name]
     if len(args) > arity:

@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
 from .critical import (
     _level_screen,
+    _weyl_grid_array,
     alpha_star_eigenspaces,
     qubit_spectrum_point,
-    qubit_weyl_grid,
     self_consistent_critical,
 )
 from .flow import FlowConfig, _on_zero_level, flow_to_critical
@@ -179,18 +178,17 @@ def scan_qubit_families(
     flow.
     """
     sector = distinguishable(parties, 2)
-    grid = qubit_weyl_grid(parties, max_denominator)
-    on_level: list[bool] = []
+    grid = _weyl_grid_array(parties, max_denominator)
+    on_level = np.zeros(len(grid), dtype=bool)
     max_multiplicity = 0
     for lo in range(0, len(grid), _SCREEN_ROWS):
         # Party p's spectrum is (l_p, -l_p), as in qubit_spectrum_point.
-        tops = np.array(grid[lo : lo + _SCREEN_ROWS])
+        tops = grid[lo : lo + _SCREEN_ROWS]
         spectra = np.stack([tops, -tops], axis=-1).reshape(len(tops), -1)
-        keep, longest = _level_screen(sector, spectra)
-        on_level.extend(keep)
+        on_level[lo : lo + len(tops)], longest = _level_screen(sector, spectra)
         max_multiplicity = max(max_multiplicity, longest)
     found: dict[tuple[float, ...], FamilyRecord] = {}
-    for lambdas in compress(grid, on_level):
+    for lambdas in map(tuple, grid[on_level].tolist()):
         alpha = qubit_spectrum_point(sector, lambdas)
         for report in alpha_star_eigenspaces(alpha):
             states = self_consistent_critical(

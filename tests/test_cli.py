@@ -288,6 +288,15 @@ class TestDemo:
         assert main(["demo", "bosons", "3", "2"]) == 0
         assert "all rows pass" in capsys.readouterr().out
 
+    def test_bosons_takes_only_pairs(self, capsys):
+        assert main(["demo", "bosons", "2", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert "particle pairs" in err and out == ""
+
+    def test_unknown_demo_lists_bosons_as_pairs(self, capsys):
+        assert main(["demo", "nope"]) == 2
+        assert "bosons N [2]," in capsys.readouterr().err
+
 
 class TestParser:
     def test_version_flag(self, capsys):

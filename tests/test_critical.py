@@ -13,6 +13,7 @@ from sloccflow.critical import (
     LEVEL_TOL,
     Stability,
     _marginal_feasible,
+    _weyl_grid_array,
     alpha_star_eigenspaces,
     classify,
     is_critical,
@@ -340,6 +341,25 @@ class TestFirstVerifiedState:
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
+        "block,made", [(_w_block, []), (_b2_block, [(3,)])], ids=["W", "B2"]
+    )
+    def test_builds_a_generator_only_past_the_uniform_start(
+        self, monkeypatch, block, made
+    ):
+        # The W block's uniform start verifies; the B2 block's is a product
+        # state off alpha, so its random starts need the seeded generator.
+        calls = []
+        original = np.random.default_rng
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        assert len(self_consistent_critical(block(), seed=3)) == 1
+        assert calls == made
+
+    @pytest.mark.parametrize(
         "block,index", [(_w_block, 2), (_b2_block, 6)], ids=["W", "B2"]
     )
     def test_any_verified_state_gives_the_same_invariants(
@@ -582,6 +602,20 @@ class TestWeylGrid:
         for parties, top in ((1, 12), (2, 12), (3, 12), (4, 6)):
             for q in range(1, top + 1):
                 assert qubit_weyl_grid(parties, q) == _fraction_weyl_grid(parties, q)
+
+    def test_array_grid_matches_fractions_at_denominator_40(self):
+        # D = lcm(1..40) is about 5.3e15, just under 2**53.
+        grid = _weyl_grid_array(2, 40)
+        assert grid.dtype == np.float64 and grid.shape == (245, 2)
+        assert list(map(tuple, grid.tolist())) == _fraction_weyl_grid(2, 40)
+
+    def test_grid_past_int64_is_an_input_error(self):
+        # lcm(1..43) is about 9.4e18, past 2**63 - 1; the one-party grid it
+        # would give is small, so only the bound can reject it.
+        with pytest.raises(ValueError, match="int64"):
+            _weyl_grid_array(1, 43)
+        with pytest.raises(ValueError, match="int64"):
+            qubit_weyl_grid(1, 43)
 
 
 def _fraction_weyl_grid(parties: int, max_denominator: int) -> list[tuple[float, ...]]:

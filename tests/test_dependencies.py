@@ -1,6 +1,7 @@
 """numpy is the package's only runtime dependency, and it says so."""
 
 import ast
+import os
 import re
 import subprocess
 import sys
@@ -25,6 +26,22 @@ def test_import_loads_no_scipy():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_import_loads_no_numpy_random():
+    # numpy loads numpy.random on first use, which the chamber scan's first
+    # seeded draw pays for; an import-time use would add it to every start-up.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "import sloccflow, sloccflow.families; "
+        "print('numpy.random' in sys.modules)"
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_declared_dependencies_match_imports():
